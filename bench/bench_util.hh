@@ -36,7 +36,6 @@
 #include "accel/system.hh"
 #include "accel/workload.hh"
 #include "common/logging.hh"
-#include "sim/sharded_event_queue.hh"
 
 namespace beacon::bench
 {
@@ -265,30 +264,6 @@ emitObsOutputs(NdpSystem &system, const BenchOptions &opts,
                const std::string &harness, const SweepKey &key,
                SweepOutcome &out)
 {
-    // DES lane distribution on stderr (BEACON_LANE_STATS=1): the
-    // event-weighted lane shares behind the scaling numbers in
-    // docs/simulation_model.md. Stderr so JSON/stdout stay
-    // byte-identical with the flag on.
-    if (std::getenv("BEACON_LANE_STATS")) {
-        if (ShardedEventQueue *eq = system.shardedQueue()) {
-            std::uint64_t total = eq->barrierEventsExecuted();
-            for (unsigned l = 0; l < eq->lanes(); ++l)
-                total += eq->laneEventsExecuted(l);
-            std::fprintf(stderr, "[lane-stats] %s/%s: total=%llu",
-                         harness.c_str(), key.label.c_str(),
-                         (unsigned long long)total);
-            for (unsigned l = 0; l < eq->lanes(); ++l) {
-                const std::uint64_t n = eq->laneEventsExecuted(l);
-                std::fprintf(
-                    stderr, " lane%u=%llu(%.1f%%)", l,
-                    (unsigned long long)n,
-                    total ? 100.0 * double(n) / double(total) : 0.0);
-            }
-            std::fprintf(stderr, " guardViolations=%llu\n",
-                         (unsigned long long)
-                             eq->laneGuardViolations());
-        }
-    }
     obs::Observability *o = system.observability();
     if (!o)
         return;

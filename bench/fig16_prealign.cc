@@ -34,10 +34,12 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < presets.size(); ++i) {
         enqueueCpuBaseline(runner, presets[i].name, *owners[i],
                            /*kmc_single_pass=*/true);
-        runner.enqueueRun({presets[i].name, "BEACON-D"},
-                          SystemParams::beaconD(), *owners[i], 0);
-        runner.enqueueRun({presets[i].name, "BEACON-S"},
-                          SystemParams::beaconS(), *owners[i], 0);
+        enqueueRunObs(runner, report.harness, opts,
+                      {presets[i].name, "BEACON-D"},
+                      SystemParams::beaconD(), *owners[i]);
+        enqueueRunObs(runner, report.harness, opts,
+                      {presets[i].name, "BEACON-S"},
+                      SystemParams::beaconS(), *owners[i]);
     }
     const std::vector<SweepOutcome> outcomes = runner.run();
     if (runner.listOnly()) {
@@ -45,34 +47,61 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // A ratio needs its accelerator point and the dataset's CPU
+    // baseline; --filter may have skipped either, and a skipped
+    // point's cell prints as "-".
     printHeader("dataset", {"D perf-x", "S perf-x", "D energy-x",
                             "S energy-x"});
     std::vector<double> d_perf, s_perf, d_energy, s_energy;
+    const auto cell = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.2fx", v);
+        return std::string(buf);
+    };
     for (std::size_t i = 0; i < presets.size(); ++i) {
         const SweepOutcome &cpu = outcomes[i * 3];
-        const RunResult &d = outcomes[i * 3 + 1].result;
-        const RunResult &s = outcomes[i * 3 + 2].result;
+        const SweepOutcome &d = outcomes[i * 3 + 1];
+        const SweepOutcome &s = outcomes[i * 3 + 2];
+        if (cpu.skipped || (d.skipped && s.skipped))
+            continue;
         const double cpu_seconds = statOf(cpu, cpu_seconds_key);
         const double cpu_energy = statOf(cpu, cpu_energy_key);
-        d_perf.push_back(cpu_seconds / d.seconds);
-        s_perf.push_back(cpu_seconds / s.seconds);
-        d_energy.push_back(cpu_energy / d.energy.totalPj().value());
-        s_energy.push_back(cpu_energy / s.energy.totalPj().value());
-        printRow(presets[i].name,
-                 {d_perf.back(), s_perf.back(), d_energy.back(),
-                  s_energy.back()});
+        std::vector<std::string> cells(4, "-");
+        if (!d.skipped) {
+            d_perf.push_back(cpu_seconds / d.result.seconds);
+            d_energy.push_back(cpu_energy /
+                               d.result.energy.totalPj().value());
+            cells[0] = cell(d_perf.back());
+            cells[2] = cell(d_energy.back());
+        }
+        if (!s.skipped) {
+            s_perf.push_back(cpu_seconds / s.result.seconds);
+            s_energy.push_back(cpu_energy /
+                               s.result.energy.totalPj().value());
+            cells[1] = cell(s_perf.back());
+            cells[3] = cell(s_energy.back());
+        }
+        printHeader(presets[i].name, cells);
     }
     std::printf("\n");
-    printRow("geomean", {geomean(d_perf), geomean(s_perf),
-                         geomean(d_energy), geomean(s_energy)});
+
+    report.add(outcomes);
+    const std::pair<const char *, const std::vector<double> *>
+        geomeans[] = {{"beacon_d_perf_geomean", &d_perf},
+                      {"beacon_s_perf_geomean", &s_perf},
+                      {"beacon_d_energy_geomean", &d_energy},
+                      {"beacon_s_energy_geomean", &s_energy}};
+    std::vector<std::string> cells;
+    for (const auto &[name, values] : geomeans) {
+        cells.push_back(values->empty() ? "-"
+                                        : cell(geomean(*values)));
+        if (!values->empty())
+            report.derive(name, geomean(*values));
+    }
+    printHeader("geomean", cells);
     std::printf("\npaper: D 362.04x / S 359.36x perf; D 387.05x / "
                 "S 382.80x energy\n");
 
-    report.add(outcomes);
-    report.derive("beacon_d_perf_geomean", geomean(d_perf));
-    report.derive("beacon_s_perf_geomean", geomean(s_perf));
-    report.derive("beacon_d_energy_geomean", geomean(d_energy));
-    report.derive("beacon_s_energy_geomean", geomean(s_energy));
     emitJson(report, opts, timer);
     return 0;
 }

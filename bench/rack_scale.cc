@@ -17,7 +17,7 @@
  * Datasets are "l<levels>w<ways>" (rack depth x interleave ways) and
  * labels "h<hosts>"; per-host latency lands under "host<h>.*" stat
  * keys. Runs are bit-identical across BEACON_BENCH_JOBS (every point
- * owns its machine) and under BEACON_DES_SHARDS (CI-enforced).
+ * owns its machine; CI-enforced).
  */
 
 #include "bench_util.hh"

@@ -16,6 +16,7 @@
  * {Pt,Pg,Ss,Am,Nf}, --tasks N, --ideal, --json FILE.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -43,6 +44,22 @@ usage()
         "beacon-s\n"
         "  apps:     fm hash kmc prealign bfs dbprobe\n"
         "  datasets: Pt Pg Ss Am Nf (seeding apps only)\n");
+}
+
+/**
+ * Strict --tasks parsing: digits only, no sign or trailing junk, and
+ * greater than zero. Returns false for anything else.
+ */
+bool
+parseTasks(const char *text, std::size_t &out)
+{
+    const char *end = text + std::strlen(text);
+    std::size_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value == 0)
+        return false;
+    out = value;
+    return true;
 }
 
 SystemParams
@@ -118,8 +135,17 @@ main(int argc, char **argv)
             app = next();
         else if (arg == "--dataset")
             dataset = next();
-        else if (arg == "--tasks")
-            tasks = std::size_t(std::atoll(next()));
+        else if (arg == "--tasks") {
+            const char *text = next();
+            if (!parseTasks(text, tasks)) {
+                std::fprintf(stderr,
+                             "invalid --tasks '%s': expected a "
+                             "positive integer\n",
+                             text);
+                usage();
+                return 1;
+            }
+        }
         else if (arg == "--ideal")
             ideal = true;
         else if (arg == "--json")

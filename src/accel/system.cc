@@ -120,56 +120,8 @@ SystemParams::idealized() const
 // Construction
 // ---------------------------------------------------------------
 
-bool
-NdpSystem::shardingEligible(const SystemParams &params)
-{
-    // Multi-lane sharding needs the CXL pool's re-homed deliveries
-    // (the DDR fabric delivers on the caller's shard), a non-zero
-    // link latency to derive the lookahead from, and an unarmed link
-    // checker (its shadow model is mutated from delivery callbacks).
-    // Ineligible machines still run the sharded engine when asked,
-    // collapsed to one lane — same code path, serial speed.
-    return !params.ddr_fabric && !params.ideal_comm &&
-           !params.checkers.cxl_link;
-}
-
-Tick
-NdpSystem::shardLookahead(const SystemParams &params)
-{
-    // An in-window event may touch another shard no sooner than the
-    // cheapest cross-shard path: a CXL link hop (towards either a
-    // DIMM or the host) or a DRAM completion's CAS-to-data-end gap.
-    const DramTimingParams timing = DramTimingParams::ddr4_1600_22();
-    Tick la = timing.minCompletionGapTicks();
-    la = std::min(la, params.pool.dimm_link.latency);
-    la = std::min(la, params.pool.host_link.latency);
-    return la;
-}
-
-std::unique_ptr<EventQueue>
-NdpSystem::makeQueue(const SystemParams &params)
-{
-    if (!params.des.sharded())
-        return std::make_unique<EventQueue>();
-    ShardedEventQueue::Params qp;
-    qp.threads = params.des.threads;
-    if (shardingEligible(params)) {
-        // One lane per DIMM plus the default lane holding everything
-        // else. An unmodified DIMM's shard is its controller; a
-        // CXLG-DIMM's shard is the whole DIMM-local pipeline —
-        // controller, NDP module, and partition atomic engine advance
-        // together (their mutual calls are synchronous), decoupled
-        // from lane 0 by the egress/done-notify model delays.
-        const unsigned num_dimms =
-            params.num_groups * params.dimms_per_group;
-        qp.lanes = std::min(params.des.shards, 1 + num_dimms);
-        qp.lookahead = shardLookahead(params);
-    }
-    return std::make_unique<ShardedEventQueue>(qp);
-}
-
 NdpSystem::NdpSystem(const SystemParams &params, const Workload &wl)
-    : p(params), workload(&wl), eq_store(makeQueue(p)), eq(*eq_store)
+    : p(params), workload(&wl)
 {
     buildMachine();
 
@@ -188,7 +140,7 @@ NdpSystem::NdpSystem(const SystemParams &params, const Workload &wl)
 }
 
 NdpSystem::NdpSystem(const SystemParams &params)
-    : p(params), eq_store(makeQueue(p)), eq(*eq_store)
+    : p(params)
 {
     buildMachine();
     ctx.kmc_single_pass = p.opts.kmc_single_pass;
@@ -207,42 +159,12 @@ NdpSystem::buildMachine()
     // DIMM-resident pool NDP (BEACON-D / CXL-vanilla-D): the module's
     // completion notify crosses the host link back to the driver and
     // its outbound fabric messages cross the DIMM-link interface.
-    // Both delays are model parameters — identical timing at every
-    // shard count — and both are >= the shard lookahead, which is
-    // what lets the whole CXLG-DIMM pipeline live on its own lane.
-    const bool dimm_ndp = !p.ddr_fabric && !p.ndp_in_switch;
-    if (dimm_ndp && !p.ideal_comm) {
+    if (!p.ddr_fabric && !p.ndp_in_switch && !p.ideal_comm) {
         done_notify_delay_ = p.pool.host_link.latency;
         egress_delay_ = p.pool.dimm_link.latency;
     }
 
-    // Lane pinning: tracing creates track ids lazily from submit /
-    // slot-acquire paths, which must stay on the default lane. The
-    // pin only changes event *homes*, never the model delays above,
-    // so traced and untraced runs stay byte-identical.
-    const bool pin_cxlg_lane0 = p.obs.trace;
-    part_hints.clear();
-
-    // Shard plan first: it must be installed before anything (the
-    // telemetry sampler, controller refresh events) schedules. Every
-    // DIMM homes to hint 1 + index; hints round-robin over the
-    // worker lanes. Everything else stays on the default lane 0.
-    ShardedEventQueue *sq = eq.sharded();
-    if (sq && sq->lanes() > 1) {
-        ShardPlan shard_plan;
-        shard_plan.lanes = sq->lanes();
-        unsigned next = 0;
-        for (unsigned d = 0; d < num_dimms; ++d) {
-            if (is_cxlg(d) && (!dimm_ndp || pin_cxlg_lane0))
-                continue;
-            shard_plan.home_lane[1 + d] =
-                1 + (next % (shard_plan.lanes - 1));
-            ++next;
-        }
-        sq->setPlan(std::move(shard_plan));
-    }
-
-    // Telemetry next: the trace sink must be attached to the queue
+    // Telemetry first: the trace sink must be attached to the queue
     // before components construct (they cache the sink pointer).
     if (p.obs.enabled())
         observability_ =
@@ -281,21 +203,6 @@ NdpSystem::buildMachine()
         DramControllerParams ctrl_params;
         ctrl_params.page_policy = p.page_policy;
         ctrl_params.checkers = p.checkers;
-        // Every DIMM homes its controller (and its fabric deliveries)
-        // to hint 1 + d; inert unless the shard plan maps the hint to
-        // a worker lane. A CXLG-DIMM shares the hint with its NDP
-        // module and partition engine (they call each other
-        // synchronously, so they must be co-homed); under tracing
-        // the CXLG pipeline stays pinned to the default lane.
-        const bool home_dimm =
-            !is_cxlg(d) || (dimm_ndp && !pin_cxlg_lane0);
-        if (home_dimm) {
-            ctrl_params.home_hint = 1 + d;
-            if (pool_fabric) {
-                pool_fabric->setNodeHome(NodeId::dimmNode(group, slot),
-                                         1 + d);
-            }
-        }
         controllers.push_back(std::make_unique<DramController>(
             "dimm" + std::to_string(d), eq, registry, geom, timing,
             ctrl_params));
@@ -344,18 +251,9 @@ NdpSystem::buildMachine()
             partition_primary.push_back(std::move(prim));
         }
     }
-    // Partition -> home hint. A DIMM-resident module homes with its
-    // CXLG-DIMM's controller (hint 1 + dimm); switch modules and the
-    // DDR baselines keep the default lane.
     inflight.assign(ndp_nodes.size(), 0);
-    part_hints.assign(ndp_nodes.size(), 0);
-    if (dimm_ndp && !pin_cxlg_lane0) {
-        for (unsigned part = 0; part < p.cxlg_dimms.size(); ++part)
-            part_hints[part] = 1 + p.cxlg_dimms[part];
-    }
     np.done_notify_delay = done_notify_delay_;
     for (unsigned part = 0; part < ndp_nodes.size(); ++part) {
-        np.home_hint = part_hints[part];
         ndps.push_back(std::make_unique<NdpModule>(
             "ndp" + std::to_string(part), eq, registry, np,
             [this, part](const AccessRequest &req,
@@ -373,16 +271,14 @@ NdpSystem::buildMachine()
     }
 
     // --- Atomic engines: one per switch/channel group, plus one
-    //     local engine per partition (homed with its partition) ---
+    //     local engine per partition ---
     for (unsigned s = 0; s < p.num_groups; ++s) {
         atomic_engines.push_back(std::make_unique<AtomicEngine>(
             "atomicSw" + std::to_string(s), eq, registry));
     }
     for (unsigned part = 0; part < ndps.size(); ++part) {
-        AtomicEngineParams ap;
-        ap.home_hint = part_hints[part];
         atomic_engines.push_back(std::make_unique<AtomicEngine>(
-            "atomicNdp" + std::to_string(part), eq, registry, ap));
+            "atomicNdp" + std::to_string(part), eq, registry));
     }
 
     // --- Memory-management framework + layout ---
@@ -411,37 +307,21 @@ NdpSystem::buildMachine()
     policy_proto.partition_switch = partition_group;
     policy_proto.partition_primary = partition_primary;
 
-    // Logical DRAM byte counters: the host/rack total plus one
-    // single-writer twin per partition (each written only from its
-    // partition's lane). Queries sum the family by substring.
     stat_dram_bytes = &registry.counter("system.dramBytesTotal");
-    part_dram_bytes.clear();
-    for (unsigned part = 0; part < ndps.size(); ++part) {
-        part_dram_bytes.push_back(&registry.counter(
-            "system.part" + std::to_string(part) +
-            ".dramBytesTotal"));
-    }
-    part_tenant_dram_stats.assign(ndps.size(), {});
 
     // Machine-level time series (per-tenant series are registered
     // by setTenantLayout / the orchestrator as tenants arrive).
     if (obs::Sampler *sampler = obsSampler()) {
-        // Probe registration happens at construction time, before
-        // any parallel window can open — safe by phase ordering.
         // Every link byte counter is named "<link>.bytes"; the sum
         // over them is total fabric traffic.
-        // beacon-lint: shared-state(Sampler.addCounterRate, direct-mutation)
         sampler->addCounterRate("fabric_gbps", registry, ".bytes",
                                 1e-9);
-        // Matches the host total and every per-partition twin.
-        // beacon-lint: shared-state(Sampler.addCounterRate, direct-mutation)
         sampler->addCounterRate("dram_gbps", registry,
                                 "dramBytesTotal", 1e-9);
         // peBusyTotalTicks advances by (busy PEs * ps); divided by
         // the interval and the PE count it is mean utilisation.
         const double total_pes =
             double(ndps.size()) * double(p.pes_per_module);
-        // beacon-lint: shared-state(Sampler.addCounterRate, direct-mutation)
         sampler->addCounterRate("pe_util", registry,
                                 "peBusyTotalTicks",
                                 1e-12 / std::max(1.0, total_pes));
@@ -471,7 +351,6 @@ NdpSystem::ndpNode(unsigned partition) const
 void
 NdpSystem::localDram(unsigned dimm, const ResolvedAccess &piece,
                      bool is_write, std::function<void(Tick)> done,
-                     std::uint32_t completion_hint,
                      std::uint64_t job)
 {
     MemRequest req;
@@ -481,11 +360,6 @@ NdpSystem::localDram(unsigned dimm, const ResolvedAccess &piece,
     req.bursts = std::max(1u, piece.bursts);
     req.job = job;
     req.on_complete = std::move(done);
-    // Home the DRAM completion onto the lane owning the callback's
-    // state: the issuing partition's lane for operand completions,
-    // lane 0 for callbacks that re-enter the fabric. Legal at any
-    // hint because the CAS-to-data-end gap >= the shard lookahead.
-    req.completion_hint = completion_hint;
     controllers.at(dimm)->enqueue(std::move(req));
 }
 
@@ -517,20 +391,6 @@ NdpSystem::tenantDramStat(TenantId tenant)
     return *it->second;
 }
 
-Counter &
-NdpSystem::partTenantDramStat(unsigned partition, TenantId tenant)
-{
-    auto &stats = part_tenant_dram_stats.at(partition);
-    auto it = stats.find(tenant);
-    if (it == stats.end()) {
-        Counter &counter = registry.counter(
-            "system.part" + std::to_string(partition) + ".tenant" +
-            std::to_string(tenant.value()) + ".dramBytes");
-        it = stats.emplace(tenant, &counter).first;
-    }
-    return *it->second;
-}
-
 void
 NdpSystem::setTenantLayout(TenantId tenant,
                            std::shared_ptr<MemoryLayout> layout)
@@ -545,10 +405,6 @@ NdpSystem::setTenantLayout(TenantId tenant,
     }
     if (obs::Sampler *sampler = obsSampler(); sampler && !known) {
         const std::string key = std::to_string(tenant.value());
-        // Registered from ambient (non-window) context when a tenant
-        // first appears; matches the host counter and every
-        // per-partition twin.
-        // beacon-lint: shared-state(Sampler.addCounterRate, direct-mutation)
         sampler->addCounterRate("tenant" + key + ".dram_gbps",
                                 registry,
                                 "tenant" + key + ".dramBytes",
@@ -577,9 +433,7 @@ void
 NdpSystem::issueAccess(unsigned partition, const AccessRequest &req,
                        std::function<void(Tick)> done)
 {
-    *part_dram_bytes.at(partition) += double(req.bytes.value());
-    partTenantDramStat(partition, req.tenant) +=
-        double(req.bytes.value());
+    accountDramBytes(req.tenant, req.bytes);
     const std::vector<ResolvedAccess> pieces =
         layoutFor(req.tenant).resolve(req.data_class, req.offset,
                                       req.bytes, partition);
@@ -612,30 +466,24 @@ NdpSystem::issuePiece(unsigned partition, const AccessRequest &req,
     const NodeId src = ndpNode(partition);
     const NodeId dst = piece.node;
     const bool fine = piece.bytes < Bytes{64};
-    // Operand completions come home to the issuing partition's lane;
-    // intermediate DRAM steps whose callbacks re-enter the fabric
-    // complete on the default lane, which owns the fabric's state.
-    const std::uint32_t operand_hint = partitionHint(partition);
 
     if (src == dst) {
         // BEACON-D/MEDAL local access: straight to the on-DIMM MC.
         localDram(piece.dimm_index, piece, req.is_write,
-                  std::move(done), operand_hint, req.job);
+                  std::move(done), req.job);
         return;
     }
     if (req.is_write) {
         // Command + data one way; complete at DRAM write completion.
         auto cb = std::make_shared<std::function<void(Tick)>>(
             std::move(done));
-        stageEgress([this, src, dst, piece, fine, operand_hint,
-                     job = req.job, cb] {
+        stageEgress([this, src, dst, piece, fine, job = req.job, cb] {
             fabric->sendCtx(
                 src, dst, Bytes{16} + piece.bytes, fine,
                 untenanted_id, job,
-                [this, piece, operand_hint, job, cb](Tick) {
+                [this, piece, job, cb](Tick) {
                     localDram(piece.dimm_index, piece, true,
-                              [cb](Tick t) { (*cb)(t); },
-                              operand_hint, job);
+                              [cb](Tick t) { (*cb)(t); }, job);
                 });
         });
         return;
@@ -654,8 +502,6 @@ NdpSystem::issuePiece(unsigned partition, const AccessRequest &req,
         const Tick remote_compute =
             cyclesToTicks(engineStepCycles(workload->engine()),
                           pe_clock_ps);
-        // The inner DRAM read completes on the default lane (hint 0):
-        // its continuation re-enters the fabric for the result hop.
         stageEgress([this, src, dst, piece, remote_compute,
                      job = req.job, cb] {
             fabric->sendCtx(src, dst, Bytes{24}, true, untenanted_id,
@@ -673,15 +519,12 @@ NdpSystem::issuePiece(unsigned partition, const AccessRequest &req,
                                                       (*cb)(t);
                                                   });
                               }, EventCat::Ndp);
-                          }, 0, job);
+                          }, job);
             });
         });
         return;
     }
-    // Remote read: request message, DRAM read, data response. The
-    // DRAM read completes on the default lane (hint 0) because its
-    // continuation sends the response through the fabric; the
-    // response delivery re-homes onto the requester's lane.
+    // Remote read: request message, DRAM read, data response.
     auto cb =
         std::make_shared<std::function<void(Tick)>>(std::move(done));
     stageEgress([this, src, dst, piece, fine, job = req.job, cb] {
@@ -694,7 +537,7 @@ NdpSystem::issuePiece(unsigned partition, const AccessRequest &req,
                                                    Bytes{1}),
                                           fine, untenanted_id, job,
                                           [cb](Tick t) { (*cb)(t); });
-                      }, 0, job);
+                      }, job);
         });
     });
 }
@@ -713,28 +556,19 @@ NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
     auto cb =
         std::make_shared<std::function<void(Tick)>>(std::move(done));
 
-    // Local RMW: the partition's own engine, no fabric involved —
-    // the whole read/compute/write/ack chain stays on the
-    // partition's lane.
+    // Local RMW: the partition's own engine, no fabric involved.
     if (src == dimm_node) {
-        const std::uint32_t hint = partitionHint(partition);
         AtomicEngine &engine =
             *atomic_engines.at(p.num_groups + partition);
-        // Same lane by construction: this path only runs from the
-        // partition's own NDP events, and the engine is homed with
-        // the partition (checkLaneTouch verifies at runtime).
-        // beacon-lint: lane(AtomicEngine.perform) beacon-lint: shared-state(AtomicEngine.perform, event-queue-mediated)
         engine.perform(
             word_key,
-            [this, piece, hint,
-             job = req.job](std::function<void(Tick)> k) {
+            [this, piece, job = req.job](std::function<void(Tick)> k) {
                 localDram(piece.dimm_index, piece, false,
-                          std::move(k), hint, job);
+                          std::move(k), job);
             },
-            [this, piece, hint,
-             job = req.job](std::function<void(Tick)> k) {
+            [this, piece, job = req.job](std::function<void(Tick)> k) {
                 localDram(piece.dimm_index, piece, true,
-                          std::move(k), hint, job);
+                          std::move(k), job);
             },
             [cb](Tick t) { (*cb)(t); });
         return;
@@ -750,19 +584,15 @@ NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
                                                 cb](Tick) {
             AtomicEngine &engine = *atomic_engines.at(
                 p.num_groups + piece.dimm_index % ndps.size());
-            // Runs inside the fabric delivery event at the owning
-            // DIMM, not on the caller's stack; the engine's own
-            // checkLaneTouch guards the residual risk.
-            // beacon-lint: lane(AtomicEngine.perform) beacon-lint: shared-state(AtomicEngine.perform, event-queue-mediated) beacon-lint: shared-state(AtomicEngine.perform, event-queue-mediated)
             engine.perform(
                 word_key,
                 [this, piece, job](std::function<void(Tick)> k) {
                     localDram(piece.dimm_index, piece, false,
-                              std::move(k), 0, job);
+                              std::move(k), job);
                 },
                 [this, piece, job](std::function<void(Tick)> k) {
                     localDram(piece.dimm_index, piece, true,
-                              std::move(k), 0, job);
+                              std::move(k), job);
                 },
                 [this, src, dimm_node, cb](Tick) {
                     fabric->send(dimm_node, src, Bytes{8}, true,
@@ -781,10 +611,6 @@ NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
     auto perform = [this, sw_node, piece, word_key, src, cb,
                     job = req.job, &engine]() {
         const bool co_located = src == sw_node;
-        // Switch engines are lane-0 residents (default hint) and
-        // this lambda fires from lane-0 fabric events; the engine's
-        // checkLaneTouch guards the pairing at runtime.
-        // beacon-lint: lane(AtomicEngine.perform) beacon-lint: shared-state(AtomicEngine.perform, event-queue-mediated)
         engine.perform(
             word_key,
             [this, sw_node, piece, job](std::function<void(Tick)> k) {
@@ -804,7 +630,7 @@ NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
                                                 [kk](Tick t) {
                                                     (*kk)(t);
                                                 });
-                            }, 0, job);
+                            }, job);
                     });
             },
             [this, sw_node, piece, job](std::function<void(Tick)> k) {
@@ -818,7 +644,7 @@ NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
                                     localDram(piece.dimm_index, piece,
                                               true, [kk](Tick t) {
                                                   (*kk)(t);
-                                              }, 0, job);
+                                              }, job);
                                 });
             },
             [this, sw_node, src, co_located, cb](Tick t) {
@@ -867,10 +693,6 @@ NdpSystem::pump()
                 fabric->send(NodeId::host(), ndp_nodes[part],
                              Bytes{32}, false,
                              [module, shared_task](Tick) {
-                                 // Runs inside the fabric delivery
-                                 // callback, so the mutation is
-                                 // already event-mediated.
-                                 // beacon-lint: shared-state(NdpModule.submit, event-queue-mediated) beacon-lint: lane(NdpModule.submit)
                                  module->submit(
                                      std::move(*shared_task));
                              });
@@ -915,9 +737,6 @@ NdpSystem::serveTask(TaskPtr task, NdpModule::TaskDoneFn on_done)
             NodeId::host(), ndp_nodes[part], Bytes{32}, false,
             tenant, (*shared_task)->jobId(),
             [module, shared_task, shared_done](Tick) {
-                // Event-mediated: executes from the fabric
-                // delivery callback, not from the caller's stack.
-                // beacon-lint: shared-state(NdpModule.submit, event-queue-mediated) beacon-lint: lane(NdpModule.submit)
                 module->submit(std::move(*shared_task),
                                std::move(*shared_done));
             });
@@ -929,27 +748,7 @@ NdpSystem::serveTask(TaskPtr task, NdpModule::TaskDoneFn on_done)
 void
 NdpSystem::drainUntil(std::uint64_t target)
 {
-    ShardedEventQueue *sq = eq.sharded();
     while (completed_tasks < target) {
-        // Parallel windows are legal only while the stop predicate
-        // provably cannot flip inside one: every in-window completion
-        // comes from a task in flight at window start (a task
-        // dispatched inside the window needs its input streamed over
-        // at least one link hop >= the lookahead), so as long as even
-        // completing all of them leaves the target unmet, a whole
-        // window is safe. The tail runs serial-canonical runOne().
-        if (sq) {
-            std::uint64_t in_flight = 0;
-            for (unsigned n : inflight)
-                in_flight += n;
-            if (completed_tasks + in_flight < target &&
-                sq->runWindow()) {
-                BEACON_CHECK(completed_tasks < target,
-                             "stop predicate flipped inside a "
-                             "window: ", completed_tasks, "/", target);
-                continue;
-            }
-        }
         if (!eq.runOne())
             BEACON_PANIC("event queue drained with ",
                          completed_tasks, "/", target,

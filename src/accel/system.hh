@@ -37,7 +37,7 @@
 #include "ndp/atomic_engine.hh"
 #include "ndp/ndp_module.hh"
 #include "obs/observability.hh"
-#include "sim/sharded_event_queue.hh"
+#include "sim/event_queue.hh"
 
 namespace beacon
 {
@@ -62,6 +62,14 @@ struct OptimizationFlags
      */
     bool function_shipping = false;
 };
+
+/**
+ * Former discrete-event engine selection. The simulator has one
+ * serial event queue; this empty struct stays only because
+ * perfbench/workloads.cc:124 assigns SystemParams::des.
+ */
+struct DesParams
+{};
 
 /** Full machine description. */
 struct SystemParams
@@ -105,13 +113,8 @@ struct SystemParams
      */
     obs::ObsConfig obs = obs::ObsConfig::fromEnv();
 
-    /**
-     * Discrete-event engine: the legacy serial queue by default, the
-     * sharded parallel queue when shards > 1 (or force_sharded).
-     * Bit-identical results either way; BEACON_DES_SHARDS /
-     * BEACON_DES_THREADS select it fleet-wide (CI's sharded leg).
-     */
-    DesParams des = DesParams::fromEnv();
+    /** No options (see DesParams). */
+    DesParams des;
 
     PoolParams pool;          //!< used when !ddr_fabric
     DdrFabricParams ddr;      //!< used when ddr_fabric
@@ -213,9 +216,6 @@ class NdpSystem
 
     /** Event queue, for orchestrators driving the loop directly. */
     EventQueue &eventQueue() { return eq; }
-
-    /** The sharded engine, or nullptr when running the legacy one. */
-    ShardedEventQueue *shardedQueue() { return eq.sharded(); }
 
     /** Mutable registry access (orchestrator-level statistics). */
     StatRegistry &statsMutable() { return registry; }
@@ -322,25 +322,20 @@ class NdpSystem
     /**
      * Enqueue one DRAM access on DIMM @p index (no fabric hop).
      * Rack segment and HDM traffic lands here after its fabric
-     * delivery; the call must therefore execute on the DIMM
-     * controller's lane — i.e. from inside a delivery callback of a
-     * message destined to that DIMM — exactly like the remote-read
-     * path of issuePiece(). Completions re-home to the default lane
-     * (hint 0): rack completion callbacks touch rack-owned state.
+     * delivery, exactly like the remote-read path of issuePiece().
      */
     void
     dimmDram(unsigned index, const ResolvedAccess &piece,
              bool is_write, std::function<void(Tick)> done,
              std::uint64_t job = 0)
     {
-        localDram(index, piece, is_write, std::move(done), 0, job);
+        localDram(index, piece, is_write, std::move(done), job);
     }
 
     /**
      * Account @p bytes of logical DRAM traffic to @p tenant and the
-     * untagged total (conservation holds by construction). For rack
-     * accesses that bypass issueAccess(); lane-0 callers only — the
-     * NDP partitions write their own "system.part<p>.*" counters.
+     * untagged total (conservation holds by construction). Every
+     * NDP access (issueAccess()) and every rack access lands here.
      */
     void
     accountDramBytes(TenantId tenant, Bytes bytes)
@@ -352,52 +347,24 @@ class NdpSystem
     /** @} */
 
   private:
-    /**
-     * Select and build the discrete-event engine for @p params: the
-     * legacy serial queue, or the sharded queue sized to the
-     * machine's shardable components (see buildMachine's plan).
-     */
-    static std::unique_ptr<EventQueue>
-    makeQueue(const SystemParams &params);
-
-    /** True when the topology supports a multi-lane shard plan. */
-    static bool shardingEligible(const SystemParams &params);
-
-    /** Conservative lookahead of @p params' topology, in ticks. */
-    static Tick shardLookahead(const SystemParams &params);
-
     /** Instantiate fabric, DRAM, NDP modules, engines, framework. */
     void buildMachine();
 
     /** The layout backing accesses of @p tenant. */
     const MemoryLayout &layoutFor(TenantId tenant) const;
 
-    /** Lazily created per-tenant logical DRAM byte counter (the
-     *  host-side "system.tenant<k>.dramBytes"; lane-0 writers). */
+    /** Lazily created per-tenant logical DRAM byte counter
+     *  ("system.tenant<k>.dramBytes"). */
     Counter &tenantDramStat(TenantId tenant);
-
-    /** Lazily created "system.part<p>.tenant<k>.dramBytes" counter;
-     *  written only on partition @p p's lane. */
-    Counter &partTenantDramStat(unsigned partition, TenantId tenant);
 
     /** NodeId hosting partition @p p's NDP module. */
     NodeId ndpNode(unsigned partition) const;
 
-    /** Event-queue home hint of partition @p p (0 = default lane). */
-    std::uint32_t
-    partitionHint(unsigned partition) const
-    {
-        return part_hints.empty() ? 0 : part_hints.at(partition);
-    }
-
     /**
      * Deliver an outbound fabric send of a DIMM-resident NDP
      * partition: the message crosses the DIMM-link interface
-     * (egress_delay_, >= the shard lookahead) before entering the
-     * fabric — which also re-homes the send() call onto the default
-     * lane owning the fabric's state. Zero delay (DDR, in-switch,
-     * idealized systems) sends synchronously, as before. The delay
-     * is a model parameter: identical timing at every shard count.
+     * (egress_delay_) before entering the fabric. Zero delay (DDR,
+     * in-switch, idealized systems) sends synchronously.
      */
     void stageEgress(std::function<void()> send);
 
@@ -410,12 +377,10 @@ class NdpSystem
                     const ResolvedAccess &piece,
                     std::function<void(Tick)> done);
 
-    /** Local DRAM access on @p dimm (no fabric); the completion
-     *  callback is homed onto @p completion_hint's lane. @p job is
-     *  the request context carried into the MemRequest (0 = none). */
+    /** Local DRAM access on @p dimm (no fabric). @p job is the
+     *  request context carried into the MemRequest (0 = none). */
     void localDram(unsigned dimm, const ResolvedAccess &piece,
                    bool is_write, std::function<void(Tick)> done,
-                   std::uint32_t completion_hint,
                    std::uint64_t job = 0);
 
     /** Atomic RMW via the home switch's Atomic Engine. */
@@ -437,10 +402,7 @@ class NdpSystem
     const Workload *workload = nullptr;
     WorkloadContext ctx;
 
-    /** The engine (legacy or sharded, see DesParams); eq is the
-     *  stable reference every component binds to. */
-    std::unique_ptr<EventQueue> eq_store;
-    EventQueue &eq;
+    EventQueue eq;
     StatRegistry registry;
 
     /** Telemetry; constructed before any component so the trace
@@ -461,26 +423,15 @@ class NdpSystem
     std::shared_ptr<MemoryLayout> mem_layout;
     /** Topology-derived policy prototype (see placementPolicy()). */
     PlacementPolicy policy_proto;
-    /** Layouts registered by service-mode tenants. Guarded: the
-     *  orchestrator registers layouts on lane 0 while partitions
-     *  resolve accesses on their own lanes (admission and a tenant's
-     *  first access are always >= one link traversal apart, so the
-     *  lock never decides an outcome — it only keeps the map's
-     *  rebalancing race-free). */
+    /** Layouts registered by service-mode tenants, guarded by
+     *  layout_mutex. */
     mutable std::shared_mutex layout_mutex;
     std::map<TenantId, std::shared_ptr<MemoryLayout>> tenant_layouts;
-    /** Logical bytes requested of DRAM. Host/rack-side traffic lands
-     *  in "system.dramBytesTotal" + "system.tenant<k>.dramBytes"
-     *  (lane-0 writers); each NDP partition writes its own
-     *  "system.part<p>[.tenant<k>]" twins from its lane. Conservation
-     *  (per-tenant sums == totals) holds over sumMatching() of the
-     *  whole family. */
+    /** Logical bytes requested of DRAM: "system.dramBytesTotal" and
+     *  its per-tenant split "system.tenant<k>.dramBytes"
+     *  (conservation: the per-tenant sum equals the total). */
     Counter *stat_dram_bytes = nullptr;
     std::map<TenantId, Counter *> tenant_dram_stats;
-    std::vector<Counter *> part_dram_bytes;
-    std::vector<std::map<TenantId, Counter *>> part_tenant_dram_stats;
-    /** Home hint per partition (0 = default lane; see buildMachine). */
-    std::vector<std::uint32_t> part_hints;
     /** Model delays of the DIMM-resident NDP completion/egress paths
      *  (0 on DDR / in-switch / idealized systems). */
     Tick done_notify_delay_ = 0;

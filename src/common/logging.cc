@@ -33,8 +33,8 @@ namespace detail
 namespace
 {
 
-// Atomic: a worker-lane BEACON_CHECK may fire while the coordinator
-// constructs/destroys an Observability bundle.
+// Atomic: sweep workers run machines concurrently, so one may panic
+// while another constructs/destroys an Observability bundle.
 std::atomic<PanicHook> panic_hook{nullptr};
 
 } // namespace

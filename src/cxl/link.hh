@@ -61,15 +61,11 @@ class CxlLink : public SimObject
 
     /**
      * Transfer @p bytes in direction @p dir; @p on_arrival fires when
-     * the last byte arrives at the far end. @p arrival_home names the
-     * component shard of the receiving endpoint (the arrival event's
-     * home hint, see EventQueue::schedule): the link's own state is
-     * mutated here at call time, only the callback is re-homed.
+     * the last byte arrives at the far end.
      */
     void
     send(LinkDir dir, Bytes bytes,
-         std::function<void(Tick)> on_arrival,
-         std::uint32_t arrival_home = 0)
+         std::function<void(Tick)> on_arrival)
     {
         BandwidthServer &server =
             dir == LinkDir::Downstream ? down : up;
@@ -101,7 +97,7 @@ class CxlLink : public SimObject
         }
         eq.schedule(arrive,
                     [cb = std::move(on_arrival), arrive] { cb(arrive); },
-                    EventCat::Cxl, arrival_home);
+                    EventCat::Cxl);
     }
 
     /**

@@ -21,7 +21,7 @@ namespace beacon
  * host h reuses the `sw` field as its host index. Every host enters
  * the pool fabric at the same root port, so the fabric routes all
  * Host-kind nodes identically — the index only distinguishes their
- * packers, homes, and statistics.
+ * packers and statistics.
  */
 struct NodeId
 {

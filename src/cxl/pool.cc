@@ -70,16 +70,6 @@ PoolFabric::unregisterNode(NodeId node)
 {
     BEACON_CHECK(registered_nodes.erase(node.key()) == 1,
                  "unregistering unknown fabric node ", node.str());
-    node_homes.erase(node.key());
-}
-
-void
-PoolFabric::setNodeHome(NodeId node, std::uint32_t hint)
-{
-    BEACON_CHECK(isRegistered(node),
-                 "binding event-queue home of unregistered fabric "
-                 "node ", node.str());
-    node_homes[node.key()] = hint;
 }
 
 const CxlLink &
@@ -240,11 +230,9 @@ PoolFabric::finalizeCheck() const
 
 void
 PoolFabric::hopLink(CxlLink &link, LinkDir dir, Bytes bytes,
-                    std::function<void()> next,
-                    std::uint32_t arrival_home)
+                    std::function<void()> next)
 {
-    link.send(dir, bytes, [fn = std::move(next)](Tick) { fn(); },
-              arrival_home);
+    link.send(dir, bytes, [fn = std::move(next)](Tick) { fn(); });
 }
 
 void
@@ -279,9 +267,7 @@ PoolFabric::routeWire(NodeId src, NodeId dst, Bytes wire,
     };
 
     if (src == dst) {
-        // Loopback delivery still re-homes onto the destination's
-        // shard so the Deliver callbacks touch only lane-owned state.
-        eq.scheduleIn(0, deliver_all, EventCat::Cxl, homeOf(dst));
+        eq.scheduleIn(0, deliver_all, EventCat::Cxl);
         return;
     }
 
@@ -306,9 +292,6 @@ PoolFabric::routeWire(NodeId src, NodeId dst, Bytes wire,
         LinkDir dir = LinkDir::Downstream;
         unsigned sw = 0;
         Tick delay = 0;
-        /** Arrival home of the hop's completion event (final hop
-         *  towards a DIMM re-homes delivery onto its shard). */
-        std::uint32_t home = 0;
     };
     std::vector<Hop> plan;
 
@@ -345,11 +328,9 @@ PoolFabric::routeWire(NodeId src, NodeId dst, Bytes wire,
         }
     }
     if (dst.isDimm()) {
-        // Final hop: the link's propagation latency (>= the sharded
-        // queue's lookahead) covers the cross-shard re-homing.
         plan.push_back({Hop::Kind::Link,
                         switches[dsw].dimm_links[dst.dimm].get(),
-                        LinkDir::Downstream, 0, 0, homeOf(dst)});
+                        LinkDir::Downstream, 0, 0});
     }
 
     // Execute the plan hop by hop. The stored function must not hold
@@ -374,9 +355,6 @@ PoolFabric::routeWire(NodeId src, NodeId dst, Bytes wire,
             // Request-scoped attribution: the hop's full residency
             // (queueing + serialisation + propagation) becomes a
             // Link or Switch component span for every riding job.
-            // recordSpan stages per lane, so a final hop completing
-            // on the destination DIMM's shard is still applied in
-            // canonical order.
             const Tick hop_start = curTick();
             const obs::SpanKind kind = hop.kind == Hop::Kind::Link
                                            ? obs::SpanKind::Link
@@ -394,8 +372,7 @@ PoolFabric::routeWire(NodeId src, NodeId dst, Bytes wire,
         }
         switch (hop.kind) {
           case Hop::Kind::Link:
-            hopLink(*hop.link, hop.dir, wire, std::move(next),
-                    hop.home);
+            hopLink(*hop.link, hop.dir, wire, std::move(next));
             break;
           case Hop::Kind::Bus:
             hopBus(hop.sw, wire, std::move(next));

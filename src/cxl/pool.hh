@@ -134,7 +134,7 @@ class PoolFabric : public SimObject, public Fabric
 
     /**
      * Remove an endpoint (hot-remove path). The node must currently
-     * be registered; its delivery home mapping is dropped with it.
+     * be registered.
      */
     void unregisterNode(NodeId node);
 
@@ -143,27 +143,6 @@ class PoolFabric : public SimObject, public Fabric
     isRegistered(NodeId node) const
     {
         return registered_nodes.count(node.key()) != 0;
-    }
-
-    /**
-     * Declare the event-queue home of a destination endpoint: the
-     * final hop of any message towards @p node re-homes its arrival
-     * event (and thus the delivery callbacks) onto that shard. All
-     * intermediate hops and the fabric's own state stay on the
-     * default shard. Unmapped nodes deliver on shard hint 0.
-     *
-     * The node must be registered: binding a home for an endpoint the
-     * fabric does not know about (e.g. a hot-removed DIMM) is a hard
-     * error.
-     */
-    void setNodeHome(NodeId node, std::uint32_t hint);
-
-    /** The delivery home hint of @p node (0 when unmapped). */
-    std::uint32_t
-    homeOf(NodeId node) const
-    {
-        auto it = node_homes.find(node.key());
-        return it == node_homes.end() ? 0 : it->second;
     }
 
     /**
@@ -188,8 +167,7 @@ class PoolFabric : public SimObject, public Fabric
     void hopBus(unsigned sw, Bytes bytes,
                 std::function<void()> next);
     void hopLink(CxlLink &link, LinkDir dir, Bytes bytes,
-                 std::function<void()> next,
-                 std::uint32_t arrival_home = 0);
+                 std::function<void()> next);
 
     DataPacker &packerFor(NodeId src, NodeId dst);
 
@@ -198,17 +176,13 @@ class PoolFabric : public SimObject, public Fabric
      * staged payloads: sendCtx() pushes one entry per submitted
      * payload (0 = no context) and routeWire() pops one per Deliver
      * in the flushed batch, so batching never misattributes a span.
-     * Lane-0 state like the packers (every fabric submit and flush
-     * runs on the default shard); only populated while a
-     * RequestTrace is attached.
+     * Only populated while a RequestTrace is attached.
      */
-    // beacon-lint: shared-state(PoolFabric.pending_jobs, event-queue-mediated)
     std::map<std::uint64_t, std::deque<std::uint64_t>> pending_jobs;
 
     PoolParams p;
     std::vector<SwitchState> switches;
     std::map<std::uint64_t, std::unique_ptr<DataPacker>> packers;
-    std::map<std::uint32_t, std::uint32_t> node_homes;
     std::set<std::uint32_t> registered_nodes;
     std::unique_ptr<CxlLinkChecker> link_checker;
     std::vector<unsigned> bus_channels; //!< checker id per switch bus

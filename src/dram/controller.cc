@@ -62,7 +62,7 @@ DramController::DramController(const std::string &name, EventQueue &eq,
             // Stagger refreshes across ranks.
             const Tick first = refi + r * (refi / geom.ranks);
             eq.schedule(first, [this, r] { refreshTick(r); },
-                        EventCat::Dram, params.home_hint);
+                        EventCat::Dram);
         }
     }
 }
@@ -100,7 +100,6 @@ DramController::enqueue(MemRequest req)
     BEACON_ASSERT(req.coord.chip_first + req.coord.chip_count <=
                       model.geometry().chips_per_rank,
                   "chip group out of range");
-    eq.checkLaneTouch(params.home_hint, "DramController::enqueue");
     req.enqueue_tick = curTick();
     queue.push_back(ActiveRequest{std::move(req), 0});
     if (trace)
@@ -124,7 +123,7 @@ DramController::scheduleDecision(Tick t)
             decision_time = max_tick;
             decide();
         },
-        EventCat::Dram, params.home_hint);
+        EventCat::Dram);
 }
 
 void
@@ -250,12 +249,10 @@ DramController::decideOnce()
                     trace->flow(trace_ctrl, "job", done.job, 't');
             }
             if (done.on_complete) {
-                // Completion callbacks run on the requester's shard;
-                // the CAS-to-data-end gap covers the lookahead.
                 eq.schedule(data_end,
                             [cb = std::move(done.on_complete),
                              data_end] { cb(data_end); },
-                            EventCat::Dram, done.completion_hint);
+                            EventCat::Dram);
             }
         }
         break;
@@ -278,14 +275,14 @@ DramController::refreshTick(unsigned rank)
     const Tick start = model.earliestRefresh(rank, now);
     if (start > now) {
         eq.schedule(start, [this, rank] { refreshTick(rank); },
-                    EventCat::Dram, params.home_hint);
+                    EventCat::Dram);
         return;
     }
     model.issueRefresh(rank, now);
     const Tick refi =
         model.timing().t_refi * model.timing().t_ck_ps;
     eq.schedule(now + refi, [this, rank] { refreshTick(rank); },
-                EventCat::Dram, params.home_hint);
+                EventCat::Dram);
     // Refresh may unblock nothing, but banks it closed need an ACT;
     // make sure a decision happens afterwards.
     scheduleDecision(model.refreshBusyUntil(rank));

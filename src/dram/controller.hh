@@ -47,14 +47,6 @@ struct DramControllerParams
     PagePolicy page_policy = PagePolicy::Open;
     /** Verification toggles; dram_protocol arms the shadow checker. */
     CheckerConfig checkers;
-    /**
-     * Event-queue home of this controller's internal events (refresh
-     * ticks, scheduling decisions). A sharded queue runs everything
-     * with one hint on one lane, making the controller's state
-     * single-threaded by construction; completion callbacks are homed
-     * separately per request (MemRequest::completion_hint).
-     */
-    std::uint32_t home_hint = 0;
 };
 
 /** FR-FCFS controller in front of one DIMM. */

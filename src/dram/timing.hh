@@ -45,21 +45,6 @@ struct DramTimingParams
 
     /** DDR4-3200, 22-22-22 (a faster grade for scaling studies). */
     static DramTimingParams ddr4_3200_22();
-
-    /**
-     * Minimum ticks between a column command issuing and its data
-     * completing: min(CL, CWL) + BL, in wall ticks. A controller
-     * completion scheduled at decision time t therefore lands at or
-     * after t + this gap, which makes it a conservative-lookahead
-     * horizon for cross-shard completion events in the sharded
-     * event queue (alongside the CXL link latencies).
-     */
-    Tick
-    minCompletionGapTicks() const
-    {
-        const unsigned cas = t_cl < t_cwl ? t_cl : t_cwl;
-        return Tick(cas + t_bl) * t_ck_ps;
-    }
 };
 
 /** Physical organisation of one DIMM. */

@@ -107,13 +107,6 @@ struct MemRequest
     unsigned bursts = 1;
     /** Invoked at data-completion time. */
     std::function<void(Tick)> on_complete;
-    /**
-     * Home hint for the completion event: the component shard
-     * on_complete's state lives on (see EventQueue::schedule). The
-     * default 0 re-homes completions onto the default shard, where
-     * every existing fabric/NDP completion closure runs.
-     */
-    std::uint32_t completion_hint = 0;
     /** Arrival time, filled in by the controller. */
     Tick enqueue_tick = 0;
     /**

@@ -28,13 +28,6 @@ struct AtomicEngineParams
 {
     /** Arithmetic latency of one atomic update. */
     Tick compute_latency = 5000; // 4 DRAM cycles
-    /**
-     * Event-queue home hint of the engine's compute events. A
-     * partition-local engine on a CXLG-DIMM homes to that DIMM's
-     * lane (with its NDP module and DRAM controller); switch-level
-     * engines keep the default lane 0.
-     */
-    std::uint32_t home_hint = 0;
 };
 
 /** Near-memory atomic RMW unit. */
@@ -64,7 +57,6 @@ class AtomicEngine : public SimObject
     perform(std::uint64_t word_key, MemFn read, MemFn write,
             DoneFn done)
     {
-        eq.checkLaneTouch(p.home_hint, "AtomicEngine::perform");
         ++stat_ops;
         Pending op{std::move(read), std::move(write), std::move(done)};
         auto [it, inserted] =
@@ -104,7 +96,7 @@ class AtomicEngine : public SimObject
                         finish(word_key, t);
                     });
                 },
-                EventCat::Ndp, p.home_hint);
+                EventCat::Ndp);
         });
     }
 

@@ -44,7 +44,6 @@ void
 NdpModule::submit(TaskPtr task, TaskDoneFn on_done)
 {
     BEACON_ASSERT(canAccept(), "NDP module over capacity");
-    eq.checkLaneTouch(p.home_hint, "NdpModule::submit");
     ++resident_tasks;
     auto pending = std::make_unique<PendingTask>();
     pending->task = std::move(task);
@@ -199,7 +198,7 @@ NdpModule::runStep(std::unique_ptr<PendingTask> pending)
             });
         }
         dispatch();
-    }, EventCat::Ndp, p.home_hint);
+    }, EventCat::Ndp);
 }
 
 void
@@ -207,12 +206,10 @@ NdpModule::notifyDone(TaskDoneFn on_done)
 {
     // The completion observers (per-task on_done, then the module
     // observer) belong to the host-side driver: they refill task
-    // slots, account jobs, and poke the orchestrator — all default-
-    // lane state. Model the completion interrupt's trip back to the
-    // host as done_notify_delay and fire the observers in a hint-0
-    // event, so a module homed on a worker lane never touches driver
-    // state from its own lane. With delay 0 the observers run inline
-    // (legacy behaviour, exercised by the DDR and in-switch systems).
+    // slots, account jobs, and poke the orchestrator. Model the
+    // completion interrupt's trip back to the host as
+    // done_notify_delay. With delay 0 the observers run inline (the
+    // DDR and in-switch systems).
     if (p.done_notify_delay == 0) {
         if (on_done)
             on_done();

@@ -40,19 +40,10 @@ struct NdpModuleParams
     /** Verification toggles; ndp_accounting arms invariant checks. */
     CheckerConfig checkers;
     /**
-     * Event-queue home hint of the module's step events. A module on
-     * a CXLG-DIMM homes to that DIMM's lane so its PE pipeline and
-     * its local DRAM controller advance together off lane 0; hint 0
-     * (the default) keeps everything on the default lane.
-     */
-    std::uint32_t home_hint = 0;
-    /**
      * Ticks between a task's last step retiring on the module and
      * the completion notification (on_done / the module observer)
-     * firing on the default lane — the completion interrupt's trip
-     * back to the host-side driver. Must be >= the sharded queue's
-     * lookahead whenever home_hint maps to a worker lane, because
-     * the observers touch host/driver state owned by lane 0.
+     * firing — the completion interrupt's trip back to the
+     * host-side driver. 0 runs the observers inline.
      */
     Tick done_notify_delay = 0;
 };

@@ -42,15 +42,14 @@ escape(const std::string &text)
 } // namespace
 
 FlightRecorder::FlightRecorder(std::string path,
-                               std::size_t per_lane_capacity)
-    : path_(std::move(path)),
-      capacity(per_lane_capacity ? per_lane_capacity : 1)
+                               std::size_t capacity)
+    : path_(std::move(path)), ring(capacity ? capacity : 1)
 {
     std::lock_guard<std::mutex> lock(registry_mutex);
     registry.push_back(this);
     // First recorder installs the process-wide panic hook so any
-    // BEACON_CHECK / BEACON_ASSERT / lane-guard trap dumps the rings
-    // before aborting. Idempotent: setPanicHook stores a pointer.
+    // BEACON_CHECK / BEACON_ASSERT failure dumps the ring before
+    // aborting. Idempotent: setPanicHook stores a pointer.
     detail::setPanicHook(&FlightRecorder::dumpAll);
 }
 
@@ -61,29 +60,16 @@ FlightRecorder::~FlightRecorder()
                    registry.end());
 }
 
-void
-FlightRecorder::prepare(std::size_t rings)
-{
-    if (rings_.size() >= rings)
-        return;
-    const std::size_t old = rings_.size();
-    rings_.resize(rings);
-    for (std::size_t i = old; i < rings_.size(); ++i)
-        rings_[i].buf.resize(capacity);
-}
-
 std::vector<FlightRecorder::Record>
-FlightRecorder::snapshot(std::size_t ring) const
+FlightRecorder::snapshot() const
 {
-    std::vector<Record> out;
-    const Ring &r = rings_.at(ring);
     const std::size_t n =
-        std::size_t(std::min<std::uint64_t>(r.seq, r.buf.size()));
-    const std::size_t first =
-        r.seq > r.buf.size() ? r.next : 0;
+        std::size_t(std::min<std::uint64_t>(executed, ring.size()));
+    const std::size_t first = executed > ring.size() ? next : 0;
+    std::vector<Record> out;
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        out.push_back(r.buf[(first + i) % r.buf.size()]);
+        out.push_back(ring[(first + i) % ring.size()]);
     return out;
 }
 
@@ -96,23 +82,18 @@ FlightRecorder::dump(const char *why, const std::string &detail) const
     os << "{\n\"schema\": \"beacon-flightrec-1\",\n";
     os << "\"reason\": \"" << escape(why) << "\",\n";
     os << "\"detail\": \"" << escape(detail) << "\",\n";
-    os << "\"rings\": [";
-    for (std::size_t ring = 0; ring < rings_.size(); ++ring) {
-        os << (ring ? ",\n" : "\n");
-        const Ring &r = rings_[ring];
-        os << "{\"lane\":" << ring << ",\"executed\":" << r.seq
-           << ",\"records\":[";
-        // Panic path: other lanes may be mid-write; read racily and
-        // emit what is there (best effort, see header).
-        bool first_rec = true;
-        for (const Record &rec : snapshot(ring)) {
-            os << (first_rec ? "" : ",");
-            first_rec = false;
-            os << "{\"when\":" << rec.when << ",\"seq\":" << rec.seq
-               << ",\"cat\":\"" << eventCatName(rec.cat) << "\"}";
-        }
-        os << "]}";
+    // One ring, kept in a list so the schema stays
+    // "beacon-flightrec-1".
+    os << "\"rings\": [\n";
+    os << "{\"lane\":0,\"executed\":" << executed << ",\"records\":[";
+    bool first_rec = true;
+    for (const Record &rec : snapshot()) {
+        os << (first_rec ? "" : ",");
+        first_rec = false;
+        os << "{\"when\":" << rec.when << ",\"seq\":" << rec.seq
+           << ",\"cat\":\"" << eventCatName(rec.cat) << "\"}";
     }
+    os << "]}";
     os << "\n]\n}\n";
     os.flush();
     return bool(os);

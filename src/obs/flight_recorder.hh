@@ -3,23 +3,15 @@
  * Always-on-cheap post-mortem flight recorder.
  *
  * FlightRecorder keeps one bounded ring of recently executed event
- * descriptors per execution lane (plus the barrier lane on a sharded
- * queue). The queues feed it immediately before each callback runs,
- * so when a run dies — a BEACON_CHECK/BEACON_ASSERT failure, a
- * src/check protocol checker, or the BEACON_LANE_GUARD=trap guard,
- * all of which funnel through beacon::detail::panicImpl — the
- * trapping event itself plus the window of events leading up to it
- * are dumped as a versioned JSON file ("beacon-flightrec-1") before
- * the process aborts.
+ * descriptors. The queue feeds it immediately before each callback
+ * runs, so when a run dies — a BEACON_CHECK/BEACON_ASSERT failure or
+ * a src/check protocol checker, all of which funnel through
+ * beacon::detail::panicImpl — the trapping event itself plus the
+ * window of events leading up to it are dumped as a versioned JSON
+ * file ("beacon-flightrec-1") before the process aborts.
  *
  * Cost model: one branch per executed event when disabled (a null
- * pointer on the queue), three stores when enabled. Each ring has a
- * single writer (its lane's worker; serial/barrier execution runs on
- * the coordinator while workers are quiesced), so recording needs no
- * synchronisation. The panic-path dump reads the rings racily — the
- * surviving lanes may be mid-write — which is acceptable for a
- * best-effort post-mortem artifact and is flagged per ring in the
- * dump.
+ * pointer on the queue), three stores when enabled.
  */
 
 #ifndef BEACON_OBS_FLIGHT_RECORDER_HH
@@ -42,46 +34,37 @@ class FlightRecorder : public EventRecorder
     struct Record
     {
         Tick when = 0;
-        /** Ring-local execution ordinal (dense, per lane). */
+        /** Execution ordinal (dense). */
         std::uint64_t seq = 0;
         EventCat cat = EventCat::Other;
     };
 
     /**
      * @p path receives the post-mortem JSON on dump().
-     * @p per_lane_capacity bounds each ring (oldest overwritten).
+     * @p capacity bounds the ring (oldest overwritten).
      */
     explicit FlightRecorder(std::string path,
-                            std::size_t per_lane_capacity = 256);
+                            std::size_t capacity = 256);
     ~FlightRecorder() override;
 
     FlightRecorder(const FlightRecorder &) = delete;
     FlightRecorder &operator=(const FlightRecorder &) = delete;
 
-    /**
-     * Allocate @p rings rings (serial queue: 1; sharded queue:
-     * lanes + 1, the last being the barrier lane). Called by
-     * EventQueue::setFlightRecorder; grows only.
-     */
-    void prepare(std::size_t rings) override;
-
-    /** Record an event about to execute on ring @p ring. */
+    /** Record an event about to execute. */
     void
-    note(std::size_t ring, Tick when, EventCat cat) override
+    note(Tick when, EventCat cat) override
     {
-        Ring &r = rings_[ring];
-        Record &rec = r.buf[r.next];
+        Record &rec = ring[next];
         rec.when = when;
-        rec.seq = r.seq++;
+        rec.seq = executed++;
         rec.cat = cat;
-        r.next = r.next + 1 == r.buf.size() ? 0 : r.next + 1;
+        next = next + 1 == ring.size() ? 0 : next + 1;
     }
 
-    std::size_t numRings() const { return rings_.size(); }
     const std::string &path() const { return path_; }
 
-    /** Ring @p ring oldest-first (tests; not panic-safe). */
-    std::vector<Record> snapshot(std::size_t ring) const;
+    /** The ring, oldest first. */
+    std::vector<Record> snapshot() const;
 
     /**
      * Write the post-mortem JSON to path(). @p why is a short cause
@@ -98,16 +81,10 @@ class FlightRecorder : public EventRecorder
     static void dumpAll(const std::string &detail);
 
   private:
-    struct Ring
-    {
-        std::vector<Record> buf;
-        std::size_t next = 0;
-        std::uint64_t seq = 0;
-    };
-
     std::string path_;
-    std::size_t capacity;
-    std::vector<Ring> rings_;
+    std::vector<Record> ring;
+    std::size_t next = 0;
+    std::uint64_t executed = 0;
 };
 
 } // namespace beacon::obs

@@ -55,7 +55,7 @@ struct ObsConfig
     /**
      * Request-scoped causal tracing (obs::RequestTrace): per-job
      * component spans, flow events, and the exact per-job latency
-     * breakdown. Deterministic; byte-identical serial vs. sharded.
+     * breakdown. Deterministic.
      */
     bool request_trace = false;
 
@@ -68,7 +68,7 @@ struct ObsConfig
     /**
      * Post-mortem flight-recorder output path; empty disables the
      * recorder (obs::FlightRecorder). The dump is written when a
-     * BEACON_CHECK / BEACON_ASSERT / lane-guard trap aborts.
+     * BEACON_CHECK / BEACON_ASSERT failure aborts.
      */
     std::string flight_recorder_path;
 

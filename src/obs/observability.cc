@@ -68,21 +68,6 @@ Observability::Observability(EventQueue &eq, const ObsConfig &cfg)
         reqtrace_ = std::make_unique<RequestTrace>(eq);
         eq.setRequestTrace(reqtrace_.get());
     }
-    // Sharded engine: lane-emitted events/ops are staged per lane
-    // and flushed by the barrier merge in canonical order. The queue
-    // has one merge-hook slot, so two stagers share a fan-out.
-    if (ShardedEventQueue *sq = eq.sharded()) {
-        if (sink_ && reqtrace_) {
-            fanout_ = std::make_unique<MergeHookFanout>();
-            fanout_->add(sink_.get());
-            fanout_->add(reqtrace_.get());
-            sq->setMergeHook(fanout_.get());
-        } else if (sink_) {
-            sq->setMergeHook(sink_.get());
-        } else if (reqtrace_) {
-            sq->setMergeHook(reqtrace_.get());
-        }
-    }
     if (cfg.slo_window > 0) {
         slo_ = std::make_unique<SloMonitor>(eq, Tick(cfg.slo_window));
         slo_->start();
@@ -114,10 +99,6 @@ Observability::~Observability()
         eq.setTraceSink(nullptr);
     if (reqtrace_)
         eq.setRequestTrace(nullptr);
-    if (sink_ || reqtrace_) {
-        if (ShardedEventQueue *sq = eq.sharded())
-            sq->setMergeHook(nullptr);
-    }
     if (flight_)
         eq.setFlightRecorder(nullptr);
     if (profiler_)

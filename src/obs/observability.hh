@@ -26,34 +26,6 @@
 namespace beacon::obs
 {
 
-/**
- * Fan-out LaneMergeHook: a sharded queue exposes one merge-hook
- * slot, but TraceSink and RequestTrace both stage per lane; this
- * forwards every commit to each in registration order.
- */
-class MergeHookFanout : public LaneMergeHook
-{
-  public:
-    void add(LaneMergeHook *hook) { hooks.push_back(hook); }
-
-    void
-    prepareLanes(std::size_t lanes) override
-    {
-        for (LaneMergeHook *hook : hooks)
-            hook->prepareLanes(lanes);
-    }
-
-    void
-    commitLaneEvent(unsigned lane, std::uint64_t pop_idx) override
-    {
-        for (LaneMergeHook *hook : hooks)
-            hook->commitLaneEvent(lane, pop_idx);
-    }
-
-  private:
-    std::vector<LaneMergeHook *> hooks;
-};
-
 class Observability
 {
   public:
@@ -112,7 +84,6 @@ class Observability
     std::unique_ptr<RequestTrace> reqtrace_;
     std::unique_ptr<SloMonitor> slo_;
     std::unique_ptr<FlightRecorder> flight_;
-    std::unique_ptr<MergeHookFanout> fanout_;
 };
 
 } // namespace beacon::obs

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace beacon::obs
 {
 
@@ -28,78 +26,6 @@ static_assert(int(SpanKind::Queue) < int(SpanKind::Pe) &&
 RequestTrace::RequestTrace(const EventQueue &eq, std::size_t max_jobs)
     : eq(eq), max_jobs(max_jobs ? max_jobs : 1)
 {
-}
-
-void
-RequestTrace::push(const Op &op)
-{
-    // Same staging rule as TraceSink::push: in-window lane callbacks
-    // may not touch the shared maps; the barrier merge applies staged
-    // ops in canonical event order.
-    if (const ShardExecContext *ctx = currentShardContext();
-        ctx && ctx->in_window &&
-        static_cast<const EventQueue *>(ctx->queue) == &eq) {
-        BEACON_ASSERT(ctx->lane < staged.size(),
-                      "request-trace op from unprepared lane ",
-                      ctx->lane);
-        Op tagged = op;
-        tagged.pop = ctx->pop;
-        staged[ctx->lane].push_back(tagged);
-        return;
-    }
-    apply(op);
-}
-
-void
-RequestTrace::prepareLanes(std::size_t lanes)
-{
-    if (staged.size() < lanes) {
-        staged.resize(lanes);
-        staged_cursor.resize(lanes, 0);
-    }
-}
-
-void
-RequestTrace::commitLaneEvent(unsigned lane, std::uint64_t pop_idx)
-{
-    BEACON_ASSERT(lane < staged.size(),
-                  "commit for unprepared lane ", lane);
-    std::vector<Op> &buf = staged[lane];
-    std::size_t &cursor = staged_cursor[lane];
-    while (cursor < buf.size() && buf[cursor].pop <= pop_idx) {
-        apply(buf[cursor]);
-        ++cursor;
-    }
-    if (cursor == buf.size()) {
-        buf.clear();
-        cursor = 0;
-    }
-}
-
-void
-RequestTrace::apply(const Op &op)
-{
-    switch (op.kind) {
-      case Op::Kind::Begin: {
-        Open &o = open[op.job];
-        o.tenant = op.tenant;
-        o.submit = op.a;
-        break;
-      }
-      case Op::Kind::Span: {
-        auto it = open.find(op.job);
-        if (it == open.end())
-            break; // job already finished/rejected or never began
-        it->second.spans.push_back(CompSpan{op.span, op.a, op.b});
-        break;
-      }
-      case Op::Kind::End:
-        finishJob(op.job, op.a);
-        break;
-      case Op::Kind::Reject:
-        open.erase(op.job);
-        break;
-    }
 }
 
 void
@@ -163,12 +89,9 @@ RequestTrace::jobBegin(std::uint64_t job, std::uint32_t tenant)
 {
     if (job == 0)
         return;
-    Op op;
-    op.kind = Op::Kind::Begin;
-    op.job = job;
-    op.tenant = tenant;
-    op.a = eq.now();
-    push(op);
+    Open &o = open[job];
+    o.tenant = tenant;
+    o.submit = eq.now();
 }
 
 void
@@ -177,13 +100,10 @@ RequestTrace::recordSpan(std::uint64_t job, SpanKind kind, Tick start,
 {
     if (job == 0)
         return;
-    Op op;
-    op.kind = Op::Kind::Span;
-    op.span = kind;
-    op.job = job;
-    op.a = start;
-    op.b = end;
-    push(op);
+    auto it = open.find(job);
+    if (it == open.end())
+        return; // job already finished/rejected or never began
+    it->second.spans.push_back(CompSpan{kind, start, end});
 }
 
 void
@@ -191,11 +111,7 @@ RequestTrace::jobEnd(std::uint64_t job)
 {
     if (job == 0)
         return;
-    Op op;
-    op.kind = Op::Kind::End;
-    op.job = job;
-    op.a = eq.now();
-    push(op);
+    finishJob(job, eq.now());
 }
 
 void
@@ -203,10 +119,7 @@ RequestTrace::jobReject(std::uint64_t job)
 {
     if (job == 0)
         return;
-    Op op;
-    op.kind = Op::Kind::Reject;
-    op.job = job;
-    push(op);
+    open.erase(job);
 }
 
 TenantBreakdown

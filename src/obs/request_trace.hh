@@ -11,15 +11,6 @@
  * category and uncovered time counts as Queue — so the breakdown
  * components always sum to the job's end-to-end latency exactly
  * (pure tick arithmetic, no floats).
- *
- * Sharded execution: like TraceSink, every operation emitted by an
- * in-window lane callback is staged in a per-lane buffer and applied
- * by the barrier merge in canonical event order
- * (LaneMergeHook::commitLaneEvent). Causality guarantees a job's
- * End op merges after every span recorded for it (each span's
- * emitting event canonically precedes the completion chain), so the
- * applied state — and writeJson() output — is byte-identical to a
- * serial run.
  */
 
 #ifndef BEACON_OBS_REQUEST_TRACE_HH
@@ -34,7 +25,6 @@
 #include "common/units.hh"
 #include "obs/request_context.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_event_queue.hh"
 
 namespace beacon::obs
 {
@@ -62,7 +52,7 @@ struct TenantBreakdown
     std::array<Tick, num_span_kinds> comp{};
 };
 
-class RequestTrace : public LaneMergeHook
+class RequestTrace
 {
   public:
     explicit RequestTrace(const EventQueue &eq,
@@ -102,12 +92,6 @@ class RequestTrace : public LaneMergeHook
     /** Versioned JSON dump ("beacon-reqtrace-1"), completion order. */
     void writeJson(std::ostream &os) const;
 
-    /** @name LaneMergeHook (sharded queues) @{ */
-    void prepareLanes(std::size_t lanes) override;
-    void commitLaneEvent(unsigned lane,
-                         std::uint64_t pop_idx) override;
-    /** @} */
-
   private:
     /** One component span attached to an open job. */
     struct CompSpan
@@ -125,41 +109,13 @@ class RequestTrace : public LaneMergeHook
         std::vector<CompSpan> spans;
     };
 
-    /** A staged operation, tagged with its emitter's pop index. */
-    struct Op
-    {
-        enum class Kind : std::uint8_t
-        {
-            Begin,
-            Span,
-            End,
-            Reject,
-        };
-
-        std::uint64_t pop = 0;
-        Kind kind = Kind::Begin;
-        SpanKind span = SpanKind::Queue;
-        std::uint64_t job = 0;
-        std::uint32_t tenant = 0;
-        Tick a = 0;
-        Tick b = 0;
-    };
-
-    void push(const Op &op);
-    void apply(const Op &op);
     void finishJob(std::uint64_t job, Tick end);
 
     const EventQueue &eq;
     std::size_t max_jobs;
-    // Canonical-order state: mutated only from quiesced contexts
-    // (serial execution, barrier merge).
-    // beacon-lint: shared-state(RequestTrace.open, merge-committed)
     std::unordered_map<std::uint64_t, Open> open;
     std::vector<JobRecord> done;
     std::uint64_t dropped = 0;
-    /** Per-lane staging buffers + flush cursors (see file comment). */
-    std::vector<std::vector<Op>> staged;
-    std::vector<std::size_t> staged_cursor;
 };
 
 } // namespace beacon::obs

@@ -32,16 +32,6 @@ SelfProfiler::result() const
     SelfProfileResult r;
     r.enabled = true;
     r.by_cat = by_cat;
-    for (const auto &lane : lane_profilers) {
-        const SelfProfileResult sub = lane->result();
-        for (std::size_t i = 0; i < r.by_cat.size(); ++i) {
-            r.by_cat[i].events += sub.by_cat[i].events;
-            r.by_cat[i].wall_seconds += sub.by_cat[i].wall_seconds;
-            r.by_cat[i].max_event_seconds =
-                std::max(r.by_cat[i].max_event_seconds,
-                         sub.by_cat[i].max_event_seconds);
-        }
-    }
     for (const SelfProfileCat &c : r.by_cat) {
         r.events += c.events;
         r.wall_seconds += c.wall_seconds;

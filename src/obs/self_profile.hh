@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,35 +78,11 @@ class SelfProfiler : public EventProfiler
             c.max_event_seconds = dt;
     }
 
-    /**
-     * Sharded execution: one private sub-profiler per worker lane,
-     * so in-window attribution is race-free; result() merges them
-     * into the serial view. Lane attribution is a measurement of the
-     * host, not the model — categories keep their meaning, only the
-     * accumulation is split.
-     */
-    void
-    prepareLanes(std::size_t lanes) override
-    {
-        while (lane_profilers.size() < lanes)
-            lane_profilers.push_back(
-                std::make_unique<SelfProfiler>());
-    }
-
-    EventProfiler *
-    laneProfiler(unsigned lane) override
-    {
-        return lane < lane_profilers.size()
-                   ? lane_profilers[lane].get()
-                   : nullptr;
-    }
-
     SelfProfileResult result() const;
 
   private:
     WallClock::TimePoint begin{};
     std::array<SelfProfileCat, num_event_cats> by_cat{};
-    std::vector<std::unique_ptr<SelfProfiler>> lane_profilers;
 };
 
 } // namespace beacon::obs

@@ -118,9 +118,6 @@ SloMonitor::start()
 void
 SloMonitor::reschedule()
 {
-    // EventCat::Sampler: a sharded queue routes the roll to the
-    // barrier lane, so it reads/clears per-tenant histograms only
-    // while every worker lane is quiesced.
     pending_ev = eq.scheduleIn(
         window_, [this] { rollNow(); reschedule(); },
         EventCat::Sampler);

@@ -7,15 +7,12 @@
  * buckets, 3 sub-bucket bits => at most ~9% relative bucket width)
  * over unsigned tick values. Everything is u64 integer arithmetic:
  * add/merge/percentile are exact functions of the recorded multiset
- * of bucket indices, so histograms are bit-identical across hosts
- * and BEACON_DES_SHARDS settings.
+ * of bucket indices, so histograms are bit-identical across hosts.
  *
  * SloMonitor keeps one histogram pair per tenant (current window +
  * lifetime), rolls windows on a self-scheduled EventCat::Sampler
- * event (barrier lane on a sharded queue: the roll runs only while
- * every worker lane is quiesced, at a deterministic point of the
- * canonical order), and exposes last-closed-window p50/p99 and
- * SLO burn rate for Sampler time-series registration.
+ * event, and exposes last-closed-window p50/p99 and SLO burn rate
+ * for Sampler time-series registration.
  */
 
 #ifndef BEACON_OBS_SLO_HH
@@ -84,11 +81,9 @@ class LogHistogram
 /**
  * Per-tenant windowed SLO monitor.
  *
- * record() is called at job completion on the canonical execution
- * path (the orchestrator's lane-0 completion events); window rolls
- * and all reads run on quiesced contexts (EventCat::Sampler /
- * report collection), so no lock is needed and results are
- * byte-identical serial vs. sharded.
+ * record() is called at job completion (the orchestrator's
+ * completion events); window rolls run as EventCat::Sampler events
+ * and reads at report collection.
  */
 class SloMonitor
 {

@@ -78,18 +78,6 @@ TraceSink::track(const std::string &name)
 void
 TraceSink::push(const TraceEvent &ev)
 {
-    // Inside a parallel window, a lane callback may not touch the
-    // shared ring: stage the event in the lane's own buffer, tagged
-    // with the emitting event's pop index; the barrier merge flushes
-    // it in canonical order (commitLaneEvent).
-    if (const ShardExecContext *ctx = currentShardContext();
-        ctx && ctx->in_window &&
-        static_cast<const EventQueue *>(ctx->queue) == &eq) {
-        BEACON_ASSERT(ctx->lane < staged.size(),
-                      "trace event from unprepared lane ", ctx->lane);
-        staged[ctx->lane].push_back(Staged{ctx->pop, ev});
-        return;
-    }
     if (count == ring.size()) {
         ++dropped; // overwriting the oldest event
     } else {
@@ -97,36 +85,6 @@ TraceSink::push(const TraceEvent &ev)
     }
     ring[next] = ev;
     next = (next + 1) % ring.size();
-}
-
-void
-TraceSink::prepareLanes(std::size_t lanes)
-{
-    if (staged.size() < lanes) {
-        staged.resize(lanes);
-        staged_cursor.resize(lanes, 0);
-    }
-}
-
-void
-TraceSink::commitLaneEvent(unsigned lane, std::uint64_t pop_idx)
-{
-    BEACON_ASSERT(lane < staged.size(),
-                  "commit for unprepared lane ", lane);
-    std::vector<Staged> &buf = staged[lane];
-    std::size_t &cursor = staged_cursor[lane];
-    // Staged entries are appended in pop order (the lane is
-    // sequential), so a prefix scan flushes exactly the committed
-    // event's emissions.
-    while (cursor < buf.size() && buf[cursor].pop <= pop_idx) {
-        // Re-enter push() outside any lane context: goes to the ring.
-        push(buf[cursor].ev);
-        ++cursor;
-    }
-    if (cursor == buf.size()) {
-        buf.clear();
-        cursor = 0;
-    }
 }
 
 void

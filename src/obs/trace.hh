@@ -25,7 +25,6 @@
 #include "common/units.hh"
 #include "obs/obs_config.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_event_queue.hh"
 
 namespace beacon::obs
 {
@@ -57,14 +56,8 @@ struct TraceEvent
  *
  * Event names are stored as raw pointers: pass string literals or
  * other static-storage strings only.
- *
- * Sharded execution: events emitted by in-window lane callbacks are
- * staged in a per-lane buffer (single writer, the lane's worker) and
- * flushed into the ring by the barrier merge in canonical event
- * order (LaneMergeHook::commitLaneEvent), so the ring's contents —
- * and the emitted JSON — are byte-identical to a serial run.
  */
-class TraceSink : public LaneMergeHook
+class TraceSink
 {
   public:
     explicit TraceSink(const EventQueue &eq,
@@ -127,20 +120,7 @@ class TraceSink : public LaneMergeHook
     /** Emit the whole buffer as Chrome trace-event JSON. */
     void writeJson(std::ostream &os) const;
 
-    /** @name LaneMergeHook (sharded queues) @{ */
-    void prepareLanes(std::size_t lanes) override;
-    void commitLaneEvent(unsigned lane,
-                         std::uint64_t pop_idx) override;
-    /** @} */
-
   private:
-    /** A staged event, tagged with its emitter's pop index. */
-    struct Staged
-    {
-        std::uint64_t pop = 0;
-        TraceEvent ev;
-    };
-
     void push(const TraceEvent &ev);
 
     const EventQueue &eq;
@@ -150,9 +130,6 @@ class TraceSink : public LaneMergeHook
     std::size_t next = 0;  // next write slot
     std::size_t count = 0; // valid events in the ring
     std::uint64_t dropped = 0;
-    /** Per-lane staging buffers + flush cursors (see class doc). */
-    std::vector<std::vector<Staged>> staged;
-    std::vector<std::size_t> staged_cursor;
 };
 
 /**

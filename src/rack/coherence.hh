@@ -12,14 +12,10 @@
  * hosts over the ordinary pool fabric, exactly the BISnp flow CXL 3.x
  * added for device-to-host invalidation.
  *
- * Lane discipline (see docs/rack_scale.md): this class is pure state,
- * split into two single-writer halves. The host-side cache maps are
- * touched only from lane-0 event callbacks (every host delivers on
- * the default shard); the directory, busy set, and transaction queues
- * are touched only from the owning expander's lane (requests arrive
- * there as fabric deliveries). RackSystem's message protocol is what
- * moves a transaction between the two lanes, so each half has exactly
- * one writing lane per window and barrier ordering covers handoffs.
+ * This class is pure state, split into two halves: the host-side
+ * cache maps and the owning expander's directory, busy set, and
+ * transaction queues. RackSystem's message protocol moves a
+ * transaction between the two halves over the pool fabric.
  */
 
 #ifndef BEACON_RACK_COHERENCE_HH
@@ -88,13 +84,13 @@ class SegmentCoherence
 
     const SegmentParams &params() const { return p; }
     unsigned owner() const { return owner_; }
-    /** Re-home the directory (hot-remove migration, lane 0 while the
-     *  rack is quiescent). */
+    /** Re-home the directory (hot-remove migration, while the rack is
+     *  quiescent). */
     void setOwner(unsigned dimm) { owner_ = dimm; }
     std::uint64_t numBlocks() const { return num_blocks; }
 
     // ------------------------------------------------------------
-    // Host-side cache state — lane-0 callbacks only.
+    // Host-side cache state.
     // ------------------------------------------------------------
 
     /** Host @p host has a (Shared or Modified) copy of @p block. */
@@ -116,7 +112,7 @@ class SegmentCoherence
     std::uint64_t uncacheAll();
 
     // ------------------------------------------------------------
-    // Directory state — owning expander's lane only.
+    // Directory state at the owning expander.
     // ------------------------------------------------------------
 
     /**
@@ -138,7 +134,7 @@ class SegmentCoherence
 
     /** @name Per-block transaction serialisation
      * One coherence transaction per block at a time; later requests
-     * queue on the owner lane and start when the current one's
+     * queue at the owner and start when the current one's
      * install-ack returns. @{ */
     bool busy(std::uint64_t block) const
     {
@@ -162,9 +158,9 @@ class SegmentCoherence
     SegmentParams p;
     unsigned owner_;
     std::uint64_t num_blocks;
-    /** Per host: block -> cached state (lane 0). */
+    /** Per host: block -> cached state. */
     std::vector<std::map<std::uint64_t, BlockState>> host_blocks;
-    /** Directory: absent block = Invalid (owner lane). */
+    /** Directory: absent block = Invalid. */
     std::unordered_map<std::uint64_t, Block> dir;
     std::unordered_set<std::uint64_t> busy_;
     std::unordered_map<std::uint64_t,

@@ -52,7 +52,7 @@ struct HdmDecoded
 /**
  * A host's HDM decoder: an ordered list of non-overlapping HPA
  * ranges. Plain state, no event-queue interaction; rack machines
- * mutate it only from lane-0 control events.
+ * mutate it only from control events.
  */
 class HdmDecoder
 {

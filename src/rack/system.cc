@@ -292,7 +292,7 @@ RackSystem::scatterHdm(const std::shared_ptr<IngressState> &st)
         hpa, Bytes{span},
         [this, st](const HdmDecoded &piece, Bytes piece_bytes) {
             ++st->pending;
-            // Issue-time accounting, all on lane 0.
+            // Issue-time accounting.
             sys->accountDramBytes(st->tenant, piece_bytes);
             *c_ingress += double(piece_bytes.value());
             const unsigned dimm = piece.target;
@@ -302,7 +302,7 @@ RackSystem::scatterHdm(const std::shared_ptr<IngressState> &st)
                 NodeId::hostNode(st->host), sys->dimmNodeId(dimm),
                 piece_bytes, false, st->tenant, st->job,
                 [this, st, dimm, acc](Tick) {
-                    // Expander's lane: commit, then ack the host.
+                    // At the expander: commit, then ack the host.
                     sys->dimmDram(
                         dimm, acc, true, [this, st, dimm](Tick) {
                             fabric->sendCtx(
@@ -397,8 +397,8 @@ RackSystem::coherentAccess(unsigned host, TenantId tenant,
     }
     ++*c_misses;
     ++txn_inflight_;
-    // The block's DRAM touch is accounted at issue time on lane 0;
-    // the physical access runs later on the owner's lane.
+    // The block's DRAM touch is accounted at issue time; the
+    // physical access runs later at the owner.
     sys->accountDramBytes(tenant, Bytes{sc.params().block_bytes});
     fabric->sendTagged(
         NodeId::hostNode(host), sys->dimmNodeId(sc.owner()),
@@ -433,15 +433,11 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
                      std::uint64_t block, bool is_write,
                      std::function<void()> done)
 {
-    // Owner lane: claim the block and update the directory (both
+    // At the owner: claim the block and update the directory (both
     // live with the owning expander), then fetch the block from its
-    // DRAM. Every fabric message of the transaction is issued from a
-    // DRAM-completion callback on lane 0: the pool fabric is lane-0
-    // state (single-writer links, buses and packers), and DRAM
-    // completions re-home there — the same trampoline the NDP
-    // remote-access paths ride. A fabric send from this (the owner's)
-    // lane would interleave with lane 0's sends nondeterministically
-    // and break serial-vs-sharded bit-identity.
+    // DRAM. Every fabric message of the transaction is issued from
+    // the DRAM-completion callback, like the NDP remote-access
+    // paths.
     SegmentCoherence &sc = *segments_[seg];
     sc.setBusy(block);
     const std::uint32_t block_bytes = sc.params().block_bytes;
@@ -452,7 +448,7 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
             sc.owner(), segAccess(seg, block), false,
             [this, host, tenant, seg, block, block_bytes, actions,
              done = std::move(done)](Tick) mutable {
-                // Lane 0: clean copy -> respond; dirty elsewhere ->
+                // Clean copy -> respond; dirty elsewhere ->
                 // BI-snoop the modifier, commit its writeback, then
                 // respond with the fresh data.
                 if (!actions.writeback) {
@@ -468,7 +464,7 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
                     false, tenant,
                     [this, host, tenant, seg, block, victim,
                      block_bytes, done = std::move(done)](Tick) mutable {
-                        // Lane 0: drop the stale copy, send the
+                        // At the modifier: drop the stale copy, send the
                         // dirty data back.
                         segments_[seg]->uncache(victim, block);
                         ++*c_inval;
@@ -480,14 +476,13 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
                             Bytes{block_bytes}, false, tenant,
                             [this, host, tenant, seg, block,
                              done = std::move(done)](Tick) mutable {
-                                // Owner lane: commit the writeback.
+                                // At the owner: commit the writeback.
                                 sys->dimmDram(
                                     segments_[seg]->owner(),
                                     segAccess(seg, block), true,
                                     [this, host, tenant, seg, block,
                                      done = std::move(done)](
                                         Tick) mutable {
-                                        // Lane 0.
                                         respond(host, tenant, seg,
                                                 block, false,
                                                 std::move(done));
@@ -506,7 +501,6 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
         sc.owner(), segAccess(seg, block), exclusive,
         [this, host, tenant, seg, block, block_bytes, actions,
          exclusive, done = std::move(done)](Tick) mutable {
-            // Lane 0.
             if (exclusive) {
                 respond(host, tenant, seg, block, true,
                         std::move(done));
@@ -527,7 +521,7 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
                     false, tenant,
                     [this, host, tenant, seg, block, victim, dirty,
                      block_bytes, acks, done](Tick) {
-                        // Lane 0: invalidate, then ack the owner.
+                        // At the sharer: invalidate, then ack the owner.
                         segments_[seg]->uncache(victim, block);
                         ++*c_inval;
                         if (dirty) {
@@ -540,8 +534,8 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
                             Bytes{8}, false, tenant,
                             [this, host, tenant, seg, block, acks,
                              done](Tick) {
-                                // Owner lane: the last ack commits
-                                // the write, then responds (lane 0).
+                                // At the owner: the last ack commits
+                                // the write, then responds.
                                 if (--*acks != 0)
                                     return;
                                 sys->dimmDram(
@@ -563,7 +557,7 @@ RackSystem::respond(unsigned host, TenantId tenant, std::size_t seg,
                     std::uint64_t block, bool is_write,
                     std::function<void()> done)
 {
-    // Lane 0: data (read) / ack (write) flit back to the host.
+    // Data (read) / ack (write) flit back to the host.
     SegmentCoherence &sc = *segments_[seg];
     const Bytes resp =
         is_write ? Bytes{8} : Bytes{sc.params().block_bytes};
@@ -572,7 +566,7 @@ RackSystem::respond(unsigned host, TenantId tenant, std::size_t seg,
         false, tenant,
         [this, host, seg, block, is_write,
          done = std::move(done)](Tick) mutable {
-            // Lane 0: install and retire. The install-ack goes out
+            // At the host: install and retire. The install-ack goes out
             // FIRST: done() may complete the drain a hot-plug op is
             // waiting on, and the op's directory-clear kick must
             // trail the ack through the (FIFO) fabric path so the
@@ -586,7 +580,7 @@ RackSystem::respond(unsigned host, TenantId tenant, std::size_t seg,
                 NodeId::hostNode(host), sys->dimmNodeId(sc.owner()),
                 Bytes{8}, false, TenantId{},
                 [this, seg, block](Tick) {
-                    // Owner lane: unbusy, start the next queued
+                    // At the owner: unbusy, start the next queued
                     // transaction.
                     SegmentCoherence &sc = *segments_[seg];
                     sc.clearBusy(block);
@@ -696,9 +690,6 @@ RackSystem::executeHotAdd(const RackOp &op)
     const NodeId node = sys->dimmNodeId(d);
     if (!fabric->isRegistered(node))
         fabric->registerNode(node);
-    // Restore the delivery home the hot-remove dropped (the DIMM's
-    // controller lane, matching buildMachine's shard plan).
-    fabric->setNodeHome(node, 1 + d);
     online_.insert(d);
     // Bind to the host with the fewest expanders (lowest host wins
     // ties — deterministic).
@@ -739,7 +730,7 @@ RackSystem::executeHotRemove(const RackOp &op)
     // 1. Re-home every segment the leaving expander owns: rewrite
     // the capacity bookkeeping, conservatively BI-invalidate every
     // host mapping (the copies re-fetch from the new owner), clear
-    // the old directory from its own lane, and stream the data over.
+    // the old directory at the old owner, and stream the data over.
     for (std::size_t i = 0; i < segments_.size(); ++i) {
         SegmentCoherence &sc = *segments_[i];
         if (sc.owner() != d)
@@ -770,7 +761,7 @@ RackSystem::executeHotRemove(const RackOp &op)
         fabric->sendTagged(
             NodeId::host(), sys->dimmNodeId(d), Bytes{16}, false,
             TenantId{}, [this, i, d, new_owner](Tick) {
-                // Old owner's lane (quiescent: drained + paused).
+                // At the old owner (quiescent: drained + paused).
                 segments_[i]->directoryClear();
                 chunkTransfer(d, new_owner,
                               segments_[i]->params().bytes);
@@ -845,7 +836,7 @@ RackSystem::executeRebind(const RackOp &op)
 void
 RackSystem::chunkTransfer(unsigned src, unsigned dst, Bytes bytes)
 {
-    // Runs on @p src's lane (kicked by a management flit).
+    // Runs at @p src (kicked by a management flit).
     std::uint64_t remaining = bytes.value();
     std::uint64_t offset = 0;
     while (remaining > 0) {
@@ -860,7 +851,7 @@ RackSystem::chunkTransfer(unsigned src, unsigned dst, Bytes bytes)
                     sys->dimmNodeId(src), sys->dimmNodeId(dst),
                     chunk, false, TenantId{},
                     [this, dst, dpa, chunk](Tick) {
-                        // Destination lane: commit, ack the manager.
+                        // At the destination: commit, ack the manager.
                         sys->dimmDram(
                             dst, rackAccess(dst, dpa, chunk), true,
                             [this, dst, chunk](Tick) {
@@ -881,7 +872,7 @@ RackSystem::chunkTransfer(unsigned src, unsigned dst, Bytes bytes)
 void
 RackSystem::opAck(Bytes chunk)
 {
-    // Lane 0: account the migration (source read + target write).
+    // Account the migration (source read + target write).
     *c_migrated += double(chunk.value());
     sys->accountDramBytes(TenantId{}, Bytes{2 * chunk.value()});
     BEACON_ASSERT(op_pending_acks_ > 0,
@@ -949,8 +940,6 @@ RackSystem::run()
                     ".usefulBytes");
             }
             if (!substrings.empty()) {
-                // Setup-time probe registration, before the run.
-                // beacon-lint: shared-state(Sampler.addCounterRate, direct-mutation)
                 sampler->addCounterRate(
                     "rack.host" + std::to_string(h) + ".fabricGBps",
                     sys->statsMutable(), std::move(substrings),
@@ -962,36 +951,7 @@ RackSystem::run()
     for (auto &host : hosts_)
         host->start();
 
-    // Same windowed drive as PoolOrchestrator::run(), summed over
-    // every host: a window is safe when the all-hosts-finished
-    // predicate provably cannot flip inside it; pending hot-plug
-    // work alone never flips it (the stop condition also requires
-    // the rack idle, checked below).
-    ShardedEventQueue *sq = eq.sharded();
     while (!allFinished() || rackBusy()) {
-        if (sq != nullptr && sq->lookahead() > 0) {
-            const Tick t0 = sq->nextPendingTick();
-            if (t0 != max_tick && t0 < max_tick - sq->lookahead()) {
-                const Tick w_end = t0 + sq->lookahead();
-                std::uint64_t done = 0;
-                std::uint64_t outstanding = 0;
-                std::uint64_t arrivals = 0;
-                std::uint64_t target = 0;
-                for (auto &host : hosts_) {
-                    done += host->doneJobs();
-                    outstanding += host->outstandingJobs();
-                    arrivals += host->arrivalsBetween(t0, w_end);
-                    target += host->targetJobs();
-                }
-                if (done + outstanding + arrivals < target &&
-                    sq->runWindow()) {
-                    BEACON_CHECK(!(allFinished() && !rackBusy()),
-                                 "rack stop predicate flipped "
-                                 "inside a window");
-                    continue;
-                }
-            }
-        }
         if (!eq.runOne()) {
             BEACON_PANIC("rack run stalled with ", rack_inflight_,
                          " rack ops in flight and ",
@@ -1054,8 +1014,6 @@ RackSystem::verifyRackConservation() const
                       by_tenant, " vs ", total);
     };
 
-    // DRAM families sum the host counter plus the partition-local
-    // twins written on the CXLG lanes ("system.part<p>.*").
     double fabric_bytes = reg.sumMatching("tenant0.usefulBytes");
     double pe_ticks = reg.sumMatching("tenant0.peBusyTicks");
     double dram_bytes = reg.sumMatching("tenant0.dramBytes");

@@ -22,8 +22,8 @@
  *    update fabric registration and every host's decoder, and resume.
  *
  * Determinism: everything is driven by the one shared event queue, so
- * runs are bit-identical serial vs. sharded (BEACON_DES_SHARDS) and
- * across BEACON_BENCH_JOBS — test- and CI-enforced.
+ * runs are bit-identical across repeats and across BEACON_BENCH_JOBS
+ * — test- and CI-enforced.
  */
 
 #ifndef BEACON_RACK_SYSTEM_HH
@@ -150,7 +150,7 @@ class RackSystem
     TenantId addTenant(unsigned host, const TenantSpec &spec);
 
     /** @name Hot-plug schedule (call before run())
-     * Each event executes at tick @p at on lane 0: it pauses new rack
+     * Each event executes at tick @p at: it pauses new rack
      * ingress, waits for in-flight rack traffic to drain, performs
      * the reconfiguration (with its migration traffic), then resumes
      * and replays paused ingress in arrival order. @{ */
@@ -207,7 +207,7 @@ class RackSystem
     ResolvedAccess segAccess(std::size_t seg,
                              std::uint64_t block) const;
 
-    // --- ingress pipeline (lane 0 unless noted) ---
+    // --- ingress pipeline ---
     void beginIngress(unsigned host, TenantId tenant,
                       std::uint64_t job,
                       std::function<void()> cont);
@@ -220,22 +220,22 @@ class RackSystem
     void coherentAccess(unsigned host, TenantId tenant,
                         std::size_t seg, std::uint64_t block,
                         bool is_write, std::function<void()> done);
-    /** Owner-lane entry: serialise per block, then transact. */
+    /** Owner-side entry: serialise per block, then transact. */
     void ownerHandle(unsigned host, TenantId tenant, std::size_t seg,
                      std::uint64_t block, bool is_write,
                      std::function<void()> done);
-    /** Owner lane: claim the block, update the directory, fetch the
+    /** Owner side: claim the block, update the directory, fetch the
      *  data; BI snoops and the response issue from the fetch's
-     *  lane-0 completion (the fabric is lane-0 state). */
+     *  completion. */
     void startTxn(unsigned host, TenantId tenant, std::size_t seg,
                   std::uint64_t block, bool is_write,
                   std::function<void()> done);
-    /** Lane-0 tail: response flit, install, retire, unbusy kick. */
+    /** Host-side tail: response flit, install, retire, unbusy kick. */
     void respond(unsigned host, TenantId tenant, std::size_t seg,
                  std::uint64_t block, bool is_write,
                  std::function<void()> done);
 
-    // --- hot-plug state machine (lane 0) ---
+    // --- hot-plug state machine ---
     void enqueueOp(const RackOp &op);
     void pumpOps();
     void tryExecuteOp();
@@ -244,7 +244,7 @@ class RackSystem
     void executeRebind(const RackOp &op);
     /** Stream @p bytes from @p src to @p dst in 4 KiB chunks; every
      *  chunk ack decrements op_pending_acks_. Kicked via a 16-byte
-     *  management flit so the reads issue from @p src's lane. */
+     *  management flit so the reads issue at @p src. */
     void chunkTransfer(unsigned src, unsigned dst, Bytes bytes);
     void opAck(Bytes chunk);
     void completeOp();
@@ -274,7 +274,7 @@ class RackSystem
     /** Per host: segment accesses so far (write cadence). */
     std::vector<std::uint64_t> seg_ops_;
 
-    // Hot-plug state machine (lane 0).
+    // Hot-plug state machine.
     std::deque<RackOp> op_queue_;
     bool op_active_ = false;
     /** Set while an op is dispatched (possibly migrating); blocks
@@ -282,8 +282,8 @@ class RackSystem
     bool op_running_ = false;
     bool paused_ = false;
     std::uint64_t rack_inflight_ = 0;
-    /** Coherence transactions between miss issue and install (both
-     *  lane 0). Hot-plug drains on this count; in-flight install-acks
+    /** Coherence transactions between miss issue and install.
+     *  Hot-plug drains on this count; in-flight install-acks
      *  are safe because an op's directory-clear kick is sent after
      *  every ack and the fabric path to the owner is FIFO. */
     std::uint64_t txn_inflight_ = 0;
@@ -291,17 +291,16 @@ class RackSystem
     std::uint64_t op_pending_acks_ = 0;
     std::function<void()> op_done_;
 
-    // Counters (registry-backed; lane noted per counter).
-    Counter *c_ingress = nullptr;   //!< lane 0
-    Counter *c_hits = nullptr;      //!< lane 0
-    Counter *c_misses = nullptr;    //!< lane 0
-    Counter *c_inval = nullptr;     //!< lane 0
-    Counter *c_migrated = nullptr;  //!< lane 0
-    Counter *c_hot_adds = nullptr;  //!< lane 0
-    Counter *c_hot_removes = nullptr; //!< lane 0
-    Counter *c_rebinds = nullptr;   //!< lane 0
-    /** Per segment; incremented on lane 0 (BI snoops are issued from
-     *  DRAM-completion callbacks, which re-home to lane 0). */
+    // Counters (registry-backed).
+    Counter *c_ingress = nullptr;
+    Counter *c_hits = nullptr;
+    Counter *c_misses = nullptr;
+    Counter *c_inval = nullptr;
+    Counter *c_migrated = nullptr;
+    Counter *c_hot_adds = nullptr;
+    Counter *c_hot_removes = nullptr;
+    Counter *c_rebinds = nullptr;
+    /** Per segment: BI snoops issued. */
     std::vector<Counter *> c_bi_;
 
     bool ran_ = false;

@@ -11,8 +11,7 @@
  * links other hosts need.
  *
  * The tree carries host-side traffic only (job ingress streaming);
- * pool-internal routing stays in PoolFabric. Every link lives on the
- * default event-queue shard (lane 0), like the fabric's host links.
+ * pool-internal routing stays in PoolFabric.
  */
 
 #ifndef BEACON_RACK_TOPOLOGY_HH
@@ -68,7 +67,7 @@ class RackTree
     /**
      * Move @p bytes from host @p host down the tree to the pool
      * root: one sequential downstream hop per level over the host's
-     * link at that level. @p done fires (on lane 0) when the last
+     * link at that level. @p done fires when the last
      * byte reaches the root; with zero levels it fires immediately,
      * still from the calling event context.
      */

@@ -176,9 +176,8 @@ PoolOrchestrator::submitJob(TenantState &tenant)
         reqtrace->jobBegin(job->id, tenant.id.value());
 
     if (p.ingress) {
-        // Admission waits for the host's ingress transfer. The job
-        // already counts as outstanding, so the drive loop's window
-        // bound holds while the transfer is in flight.
+        // Admission waits for the host's ingress transfer; the job
+        // already counts as outstanding.
         p.ingress(tenant.id, job->id, [this, id = tenant.id, job] {
             completeSubmission(id, job);
             dispatch();
@@ -388,38 +387,28 @@ PoolOrchestrator::start()
         for (TenantState &tenant : tenants) {
             const std::string tag =
                 "tenant" + std::to_string(tenant.id.value());
-            // Setup-time probe registration, before the run.
-            // beacon-lint: shared-state(Sampler.addLevel, direct-mutation)
             sampler->addLevel(tag + ".queue_depth",
                               [this, id = tenant.id] {
                                   return double(
                                       stateOf(id).ready.size());
                               });
-            // beacon-lint: shared-state(Sampler.addLevel, direct-mutation)
             sampler->addLevel(tag + ".p99_ms",
                               [stat = tenant.latency_ms_stat] {
                                   return stat->percentile(0.99);
                               });
             if (slo) {
-                // Windowed SLO series from the live monitor. Window
-                // rolls and sampler ticks are both barrier-lane
-                // EventCat::Sampler events, so the values read here
-                // are quiesced and canonically ordered — the series
-                // is byte-identical across shard counts.
+                // Windowed SLO series from the live monitor.
                 const unsigned si = tenant.slo_idx;
-                // beacon-lint: shared-state(Sampler.addLevel, direct-mutation)
                 sampler->addLevel(
                     tag + ".slo_p50_ms", [this, si] {
                         return double(slo->lastWindow(si).p50) *
                                1e-9;
                     });
-                // beacon-lint: shared-state(Sampler.addLevel, direct-mutation)
                 sampler->addLevel(
                     tag + ".slo_p99_ms", [this, si] {
                         return double(slo->lastWindow(si).p99) *
                                1e-9;
                     });
-                // beacon-lint: shared-state(Sampler.addLevel, direct-mutation)
                 sampler->addLevel(tag + ".slo_burn", [this, si] {
                     return slo->burnRate(si);
                 });
@@ -447,7 +436,6 @@ PoolOrchestrator::start()
                 const double u = arrivals.nextDouble();
                 const double gap_s = -std::log1p(-u) / rate;
                 at += Tick(gap_s * 1e12);
-                arrival_ticks.push_back(at);
                 eq.schedule(at, [this, id = tenant.id] {
                     submitJob(stateOf(id));
                     dispatch();
@@ -455,7 +443,6 @@ PoolOrchestrator::start()
             }
         }
     }
-    std::sort(arrival_ticks.begin(), arrival_ticks.end());
     dispatch();
 }
 
@@ -468,22 +455,6 @@ PoolOrchestrator::doneJobs() const
     return done;
 }
 
-std::uint64_t
-PoolOrchestrator::arrivalsBetween(Tick t0, Tick w_end)
-{
-    while (arrival_cursor < arrival_ticks.size() &&
-           arrival_ticks[arrival_cursor] < t0) {
-        ++arrival_cursor;
-    }
-    std::uint64_t window_arrivals = 0;
-    for (std::size_t i = arrival_cursor;
-         i < arrival_ticks.size() && arrival_ticks[i] < w_end;
-         ++i) {
-        ++window_arrivals;
-    }
-    return window_arrivals;
-}
-
 ServiceReport
 PoolOrchestrator::run()
 {
@@ -491,37 +462,7 @@ PoolOrchestrator::run()
     system.setSlotFreedFn([this] { dispatch(); });
     start();
 
-    // Drive loop. On the sharded engine, advance whole conservative-
-    // lookahead windows while the finished predicate provably cannot
-    // flip inside one; fall back to serial-canonical runOne() for the
-    // tail (and on the legacy engine). The in-window advance of the
-    // finished-jobs counter is bounded by
-    //   - completions: at most jobs_outstanding (a job submitted
-    //     inside the window needs its input streamed over at least
-    //     one link hop >= the lookahead before any task can retire);
-    //   - rejections: one per open-loop arrival tick inside the
-    //     window. Closed-loop tenants never reject mid-run: a
-    //     rejection needs a structurally infeasible scratch quota
-    //     (occupancy-independent), which rejects that tenant's whole
-    //     job budget during setup, before the first window.
-    ShardedEventQueue *sq = eq.sharded();
     while (!finished()) {
-        if (sq != nullptr && sq->lookahead() > 0) {
-            const Tick t0 = sq->nextPendingTick();
-            if (t0 != max_tick && t0 < max_tick - sq->lookahead()) {
-                const Tick w_end = t0 + sq->lookahead();
-                const std::uint64_t window_arrivals =
-                    arrivalsBetween(t0, w_end);
-                if (doneJobs() + jobs_outstanding + window_arrivals <
-                        target_jobs &&
-                    sq->runWindow()) {
-                    BEACON_CHECK(!finished(),
-                                 "finished predicate flipped inside "
-                                 "a service window");
-                    continue;
-                }
-            }
-        }
         if (!eq.runOne()) {
             BEACON_PANIC("service run stalled with ",
                          jobs_outstanding,
@@ -557,8 +498,6 @@ PoolOrchestrator::collectReport(const RunResult &machine)
     for (unsigned part = 0; part < system.numPartitions(); ++part)
         total_pe += double(system.ndpModule(part).peBusyTicks());
     const double total_fabric = reg.sumMatching("usefulBytesTotal");
-    // The host total plus the partition-local twins the CXLG lanes
-    // write ("system.part<p>.dramBytesTotal").
     const double total_dram = reg.sumMatching("dramBytesTotal");
 
     for (TenantState &tenant : tenants) {

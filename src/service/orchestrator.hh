@@ -75,8 +75,7 @@ struct OrchestratorParams
      * before the job becomes runnable; the job id (second argument)
      * lets the transfer carry the request context for hop-level
      * trace attribution. The continuation must be called exactly
-     * once, from an event-queue callback on the default (lane-0)
-     * shard.
+     * once, from an event-queue callback.
      */
     std::function<void(TenantId, std::uint64_t,
                        std::function<void()>)>
@@ -178,21 +177,8 @@ class PoolOrchestrator
     /** Completed-or-rejected jobs across all tenants. */
     std::uint64_t doneJobs() const;
 
-    /** Total job budget across all tenants (valid after start()). */
-    std::uint64_t targetJobs() const { return target_jobs; }
-
-    /** Jobs submitted but not yet completed or rejected. */
-    std::uint64_t outstandingJobs() const { return jobs_outstanding; }
-
     /** True once every job completed or was rejected. */
     bool finished() const { return doneJobs() >= target_jobs; }
-
-    /**
-     * Open-loop arrivals with tick in [t0, w_end). Advances the
-     * arrival cursor past ticks below @p t0, so calls must use
-     * non-decreasing @p t0 (the drive loop's window starts do).
-     */
-    std::uint64_t arrivalsBetween(Tick t0, Tick w_end);
 
     /** Move ready tasks onto the machine while slots are free. */
     void dispatch();
@@ -295,15 +281,6 @@ class PoolOrchestrator
     std::uint64_t next_job_id = 1;
     std::uint64_t jobs_outstanding = 0;
     std::uint64_t target_jobs = 0;
-    /**
-     * Every open-loop arrival tick, pre-drawn and sorted; the cursor
-     * trails the clock. The windowed drive loop counts arrivals
-     * inside a prospective window to bound how far the finished-jobs
-     * counter can advance (each arrival submits at most one job,
-     * which can be rejected on the spot).
-     */
-    std::vector<Tick> arrival_ticks;
-    std::size_t arrival_cursor = 0;
     bool ran = false;
     std::unique_ptr<Scheduler> scheduler;
     /** Machine's trace sink (null when tracing is off). */

@@ -6,8 +6,7 @@ namespace beacon
 {
 
 EventId
-EventQueue::schedule(Tick when, Callback cb, EventCat cat,
-                     std::uint32_t /*home_hint*/)
+EventQueue::schedule(Tick when, Callback cb, EventCat cat)
 {
     BEACON_ASSERT(when >= _now, "scheduling into the past: when=", when,
                   " now=", _now);
@@ -17,15 +16,6 @@ EventQueue::schedule(Tick when, Callback cb, EventCat cat,
     live.insert(id);
     callbacks.emplace(id, std::move(cb));
     return id;
-}
-
-EventId
-EventQueue::scheduleIn(Tick delta, Callback cb, EventCat cat,
-                       std::uint32_t home_hint)
-{
-    // Virtual now()/schedule() so the sharded queue inherits this
-    // verbatim with lane-local time.
-    return schedule(now() + delta, std::move(cb), cat, home_hint);
 }
 
 void
@@ -72,7 +62,7 @@ EventQueue::runOne()
         live.erase(top.id);
         ++executed;
         if (flight)
-            flight->note(0, top.when, top.cat);
+            flight->note(top.when, top.cat);
         if (profiler) {
             profiler->beginEvent(top.cat, top.when);
             cb();

@@ -30,8 +30,6 @@ class TraceSink;
 class RequestTrace;
 } // namespace obs
 
-class ShardedEventQueue; // src/sim/sharded_event_queue.hh
-
 /** Handle used to cancel a scheduled event. */
 using EventId = std::uint64_t;
 
@@ -50,8 +48,7 @@ enum class EventCat : std::uint8_t
     Service,
     Sampler,
     /** Rack layer (src/rack): multi-host switch tiers, HDM ingress,
-     *  shared-segment coherence, hot-plug control. Rack events carry
-     *  hint 0 and therefore always execute on the default lane. */
+     *  shared-segment coherence, hot-plug control. */
     Rack,
 };
 
@@ -89,74 +86,23 @@ class EventProfiler
 
     /** Called just after the same callback returns. */
     virtual void endEvent(EventCat cat) = 0;
-
-    /**
-     * A sharded queue announces how many worker lanes it will run
-     * before the first parallel window. Profilers that want per-lane
-     * attribution allocate lane-local accumulators here.
-     */
-    virtual void prepareLanes(std::size_t /*lanes*/) {}
-
-    /**
-     * Lane-local profiler used by worker threads inside a parallel
-     * window; must be safe to call concurrently with the profilers of
-     * *other* lanes. Returning nullptr (the default) disables
-     * profiling of lane events while windows run in parallel.
-     */
-    virtual EventProfiler *laneProfiler(unsigned /*lane*/)
-    {
-        return nullptr;
-    }
 };
 
 /**
  * Always-on-cheap recorder fed immediately before every executed
  * callback — the flight-recorder half of the sim layer, mirroring
- * the EventProfiler/LaneMergeHook pattern: the interface lives here,
- * the one implementation (obs::FlightRecorder) in src/obs.
- *
- * Ring assignment: ring == the executing lane index; a serial queue
- * uses ring 0 only, a sharded queue uses [0, lanes] with ring ==
- * lanes() for the barrier lane. note() is called with the ring's
- * lane as single writer (serial and barrier execution run on the
- * coordinator while workers are quiesced), so implementations need
- * no locks on the record path. Feeding happens *before* the callback
- * runs so the event that dies mid-callback is in the dump.
+ * the EventProfiler pattern: the interface lives here, the one
+ * implementation (obs::FlightRecorder) in src/obs. Feeding happens
+ * *before* the callback runs so the event that dies mid-callback is
+ * in the dump.
  */
 class EventRecorder
 {
   public:
     virtual ~EventRecorder() = default;
 
-    /** Allocate @p rings rings before the first note(). */
-    virtual void prepare(std::size_t rings) = 0;
-
-    /** Event about to execute on @p ring at @p when. */
-    virtual void note(std::size_t ring, Tick when, EventCat cat) = 0;
-};
-
-/**
- * Hook a sharded queue drives while it merges per-lane execution logs
- * back into the canonical (serial) event order at a window barrier.
- *
- * The one implementation is obs::TraceSink: trace events emitted by
- * lane events are staged per lane and flushed into the shared ring in
- * canonical order, so serial and sharded traces are byte-identical.
- */
-class LaneMergeHook
-{
-  public:
-    virtual ~LaneMergeHook() = default;
-
-    /** Sizes lane-local staging before the first parallel window. */
-    virtual void prepareLanes(std::size_t lanes) = 0;
-
-    /**
-     * The lane event with lane-local pop index @p pop_idx is next in
-     * canonical order; commit anything it staged.
-     */
-    virtual void commitLaneEvent(unsigned lane,
-                                 std::uint64_t pop_idx) = 0;
+    /** Event about to execute at @p when. */
+    virtual void note(Tick when, EventCat cat) = 0;
 };
 
 /**
@@ -165,11 +111,6 @@ class LaneMergeHook
  * Components schedule callbacks at absolute ticks; the driver runs the
  * queue until it is empty, a tick limit is reached, or an event count
  * budget is exhausted.
- *
- * The class is also the abstract interface of the sharded parallel
- * queue (ShardedEventQueue): the base implementation is the canonical
- * serial kernel, and every override is required to produce the exact
- * same execution order — stats, traces and time-series byte-for-byte.
  */
 class EventQueue
 {
@@ -177,117 +118,75 @@ class EventQueue
     using Callback = std::function<void()>;
 
     EventQueue() = default;
-    virtual ~EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
      * Current simulated time. Inside an event callback this is the
-     * tick the event fired at, even when the callback runs on a
-     * worker lane of a sharded queue.
+     * tick the event fired at.
      */
-    virtual Tick now() const { return _now; }
+    Tick now() const { return _now; }
 
     /** Number of events executed so far. */
-    virtual std::uint64_t eventsExecuted() const { return executed; }
+    std::uint64_t eventsExecuted() const { return executed; }
 
     /**
      * Number of live pending events (cancelled events excluded, even
      * while their queue entries await lazy removal).
      */
-    virtual std::size_t pending() const { return live.size(); }
+    std::size_t pending() const { return live.size(); }
 
     /**
      * Size of the internal heap: live events plus cancelled entries
      * that have not been popped yet. Only interesting for capacity
      * accounting; use pending() for "how much work is left".
      */
-    virtual std::size_t pendingIncludingCancelled() const
+    std::size_t pendingIncludingCancelled() const
     {
         return queue.size();
     }
 
     /**
      * Schedule @p cb at absolute time @p when (>= now()).
-     *
-     * @p home_hint names the component shard the callback belongs to
-     * (0 = the default shard). The serial queue ignores it; a sharded
-     * queue uses it to route the event to a worker lane. Hints must
-     * be stable for a given destination component so that all events
-     * touching one component's state run on one lane.
-     *
      * @return an id usable with cancel().
      */
-    virtual EventId schedule(Tick when, Callback cb,
-                             EventCat cat = EventCat::Other,
-                             std::uint32_t home_hint = 0);
+    EventId schedule(Tick when, Callback cb,
+                     EventCat cat = EventCat::Other);
 
     /** Schedule @p cb @p delta ticks from now. */
-    EventId scheduleIn(Tick delta, Callback cb,
-                       EventCat cat = EventCat::Other,
-                       std::uint32_t home_hint = 0);
+    EventId
+    scheduleIn(Tick delta, Callback cb, EventCat cat = EventCat::Other)
+    {
+        return schedule(_now + delta, std::move(cb), cat);
+    }
 
     /** Cancel a pending event; cancelling a fired event is a no-op. */
-    virtual void cancel(EventId id);
+    void cancel(EventId id);
 
     /** True if the event has not fired and is not cancelled. */
-    virtual bool scheduled(EventId id) const;
+    bool scheduled(EventId id) const;
 
     /**
      * Execute the next event, if any.
      * @return false when the queue is empty.
      */
-    virtual bool runOne();
+    bool runOne();
 
     /**
      * Run until the queue drains or until the next event would fire
      * after @p limit.
      * @return the final simulated time.
      */
-    virtual Tick run(Tick limit = max_tick);
+    Tick run(Tick limit = max_tick);
 
     /** Drop all pending events and reset time to zero. */
-    virtual void reset();
+    void reset();
 
     /**
      * Install (or clear, with nullptr) the host-side profiler that
      * brackets every executed callback. Not owned.
      */
-    virtual void setProfiler(EventProfiler *p) { profiler = p; }
-
-    /** Downcast without RTTI: non-null when this queue is sharded. */
-    virtual ShardedEventQueue *sharded() { return nullptr; }
-
-    /**
-     * Debug lane-ownership guard. Components whose state is owned by
-     * @p home_hint's lane call this at their mutation entry points
-     * (DramController::enqueue, NdpModule::submit); a sharded queue
-     * with the guard armed (BEACON_LANE_GUARD / setLaneGuard)
-     * verifies the running in-window callback executes on exactly
-     * that lane — the dynamic twin of the static `beacon-lint
-     * --lane-map` pass, each validating the other. Free on the
-     * serial queue and a single predictable branch when unarmed.
-     */
-    void
-    checkLaneTouch(std::uint32_t home_hint, const char *what) const
-    {
-        if (lane_guard_armed)
-            laneTouchSlow(home_hint, what);
-    }
-
-  protected:
-    /** Armed by ShardedEventQueue::setLaneGuard; never on serial. */
-    bool lane_guard_armed = false;
-
-    /** Flight recorder (shared with ShardedEventQueue); not owned. */
-    EventRecorder *flight = nullptr;
-
-    /** Sharded-queue half of checkLaneTouch (see above). */
-    virtual void laneTouchSlow(std::uint32_t /*home_hint*/,
-                               const char * /*what*/) const
-    {}
-
-  public:
+    void setProfiler(EventProfiler *p) { profiler = p; }
 
     /**
      * Attach (or clear) the trace sink components consult when they
@@ -311,16 +210,9 @@ class EventQueue
 
     /**
      * Attach (or clear) the flight recorder fed before every
-     * executed callback. Not owned. The base queue prepares one
-     * ring; the sharded queue overrides to prepare lanes + 1.
+     * executed callback. Not owned.
      */
-    virtual void
-    setFlightRecorder(EventRecorder *recorder)
-    {
-        flight = recorder;
-        if (flight)
-            flight->prepare(1);
-    }
+    void setFlightRecorder(EventRecorder *recorder) { flight = recorder; }
 
     /** Flight recorder for this queue, or nullptr when off. */
     EventRecorder *flightRecorder() const { return flight; }
@@ -350,6 +242,7 @@ class EventQueue
     std::uint64_t last_seq = 0;
     bool has_executed = false;
     EventProfiler *profiler = nullptr;
+    EventRecorder *flight = nullptr;
     obs::TraceSink *trace_sink = nullptr;
     obs::RequestTrace *request_trace = nullptr;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;

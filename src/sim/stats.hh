@@ -139,14 +139,9 @@ double quantileSorted(const std::vector<double> &sorted, double q);
  * Stats are created on first access; names are hierarchical by
  * convention ("dimm0.rank1.actEnergy").
  *
- * Thread model (sharded engine): the registry *structure* (the
- * name -> stat maps) is mutex-guarded, so lanes may lazily create
- * counters concurrently and lane-0 queries may run while they do.
- * Stat *values* are not guarded — every counter must have a single
- * writer lane (the beacon-lint lane map enforces this statically)
- * and cross-lane readers must be quiesced (barrier-lane samplers,
- * post-drain reports). The map-returning accessors hand out
- * unguarded references and are for quiesced callers only.
+ * Thread model: one registry belongs to one machine, which one
+ * thread drives. The registry *structure* (the name -> stat maps)
+ * is mutex-guarded; stat *values* are not.
  */
 class StatRegistry
 {
@@ -162,7 +157,7 @@ class StatRegistry
     /** Sum of all counters whose name contains @p substring. */
     double sumMatching(const std::string &substring) const;
 
-    /** All counters, sorted by name (quiesced callers only). */
+    /** All counters, sorted by name. */
     const std::map<std::string, Counter> &counters() const
     {
         return scalar_stats;

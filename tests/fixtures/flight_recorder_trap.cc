@@ -3,19 +3,19 @@
  * Throwaway fixture for the flight-recorder trap smoke test
  * (FlightRecorderTrapSmoke, driven by flight_recorder_smoke.cmake).
  *
- * Arms lane-guard trapping on a two-lane sharded queue with a
- * FlightRecorder attached, warms the rings with legitimate traffic,
- * then fires a deliberate cross-lane touch. Expected outcome: the
- * guard's BEACON_CHECK funnels through panicImpl, the panic hook
- * writes the post-mortem JSON to argv[1], and the process aborts
- * (nonzero exit). Reaching the end of main means the trap never
- * fired, which the driving script treats as a failure.
+ * Attaches a FlightRecorder to a plain EventQueue, warms the ring
+ * with legitimate traffic, then fails a BEACON_CHECK inside an event
+ * callback. Expected outcome: the check funnels through panicImpl,
+ * the panic hook writes the post-mortem JSON to argv[1], and the
+ * process aborts (nonzero exit). Reaching the end of main means the
+ * check never fired, which the driving script treats as a failure.
  */
 
 #include <cstdio>
 
+#include "common/logging.hh"
 #include "obs/flight_recorder.hh"
-#include "sim/sharded_event_queue.hh"
+#include "sim/event_queue.hh"
 
 int
 main(int argc, char **argv)
@@ -25,34 +25,17 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "beacon-flightrec-trap.json";
     obs::FlightRecorder recorder(path);
 
-    ShardedEventQueue::Params p;
-    p.lanes = 2;
-    p.lookahead = 100;
-    p.inline_windows = true; // single-threaded, deterministic abort
-    ShardedEventQueue eq(p);
-    ShardPlan plan;
-    plan.lanes = 2;
-    plan.home_lane[1] = 1;
-    eq.setPlan(plan);
+    EventQueue eq;
     eq.setFlightRecorder(&recorder);
-    eq.setLaneGuard(ShardedEventQueue::LaneGuard::Trap);
 
     // Legitimate traffic first, so the dump shows a ring of events
-    // preceding the trapping one on both lanes.
-    for (Tick t = 1; t <= 32; ++t) {
-        eq.schedule(t, [] {}, EventCat::Other, 0);
-        eq.schedule(t, [] {}, EventCat::Other, 1);
-    }
-    // The deliberate violation: a lane-1 in-window event touching
-    // lane-0-homed state without going through the event queue.
-    eq.schedule(
-        50,
-        [&] { eq.checkLaneTouch(0, "flight-recorder smoke fixture"); },
-        EventCat::Other, 1);
-    eq.schedule(50, [] {}, EventCat::Other, 0);
-    while (eq.runWindow())
-        ;
-    std::fprintf(stderr,
-                 "fixture error: lane guard never trapped\n");
+    // preceding the trapping one.
+    for (Tick t = 1; t <= 32; ++t)
+        eq.schedule(t, [] {});
+    eq.schedule(50, [&eq] {
+        BEACON_CHECK(eq.now() < 50, "flight-recorder smoke trap");
+    });
+    eq.run();
+    std::fprintf(stderr, "fixture error: the check never fired\n");
     return 0;
 }

@@ -1,9 +1,9 @@
 # Flight-recorder trap smoke (ctest name: FlightRecorderTrapSmoke).
 #
-# Runs the flight_recorder_trap fixture, which arms the lane guard in
-# trap mode and fires a deliberate cross-lane touch. Asserts the
-# post-mortem contract of docs/observability.md:
-#   1. the fixture dies (the trap's BEACON_CHECK aborts the process),
+# Runs the flight_recorder_trap fixture, which fails a BEACON_CHECK
+# inside an event callback. Asserts the post-mortem contract of
+# docs/observability.md:
+#   1. the fixture dies (the failed BEACON_CHECK aborts the process),
 #   2. the panic hook wrote the dump JSON before aborting,
 #   3. the dump carries the beacon-flightrec-1 schema tag and a
 #      non-empty ring of events preceding the trap.
@@ -23,7 +23,7 @@ execute_process(COMMAND "${FIXTURE}" "${DUMP}"
 
 if(fixture_rv EQUAL 0)
     message(FATAL_ERROR
-        "fixture exited 0; the lane guard never trapped\n"
+        "fixture exited 0; the check never fired\n"
         "${fixture_err}")
 endif()
 
@@ -45,13 +45,13 @@ if(NOT dump_content MATCHES "\"reason\": \"panic\"")
         "dump '${DUMP}' does not record the panic reason")
 endif()
 
-if(NOT dump_content MATCHES "\"detail\": \"[^\"]*lane guard")
+if(NOT dump_content MATCHES "\"detail\": \"[^\"]*flight-recorder smoke trap")
     message(FATAL_ERROR
-        "dump '${DUMP}' detail does not name the lane guard")
+        "dump '${DUMP}' detail does not name the failed check")
 endif()
 
-# The fixture ran 32 warm-up events per lane before the trap, so at
-# least one ring must contain records.
+# The fixture ran 32 warm-up events before the trap, so the ring must
+# contain records.
 if(NOT dump_content MATCHES "\"records\":\\[{")
     message(FATAL_ERROR
         "dump '${DUMP}' contains no ring records before the trap")

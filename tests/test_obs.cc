@@ -342,8 +342,6 @@ TEST(Observability, TracingDoesNotPerturbTheSimulation)
     writeRunResultJson(json_off, r_off, 0);
     writeRunResultJson(json_on, r_on, 0);
     EXPECT_EQ(json_on.str(), json_off.str());
-    // Whole family: host total plus the per-partition twins (the
-    // lane pinning under tracing must not change any counter).
     EXPECT_EQ(sys_on.stats().sumMatching("dramBytesTotal"),
               sys_off.stats().sumMatching("dramBytesTotal"));
     EXPECT_EQ(sys_on.stats().sumMatching(".bytes"),
@@ -368,62 +366,6 @@ TEST(Observability, Fig12SmallTimeseriesGolden)
     system.obsSampler()->writeJson(os);
     golden::checkGoldenString(os.str(),
                               "fig12_small_timeseries.json");
-}
-
-TEST(Observability, ShardedRunTelemetryIsByteIdentical)
-{
-#if !BEACON_OBS_ENABLED
-    GTEST_SKIP() << "telemetry compiled out (BEACON_OBS=OFF)";
-#endif
-    const FmSeedingWorkload workload(smallPreset());
-
-    struct Telemetry
-    {
-        std::string trace;
-        std::string timeseries;
-        std::vector<std::uint64_t> events_by_cat;
-    };
-    const auto observe = [&](const DesParams &des) {
-        SystemParams params = SystemParams::beaconD();
-        // Narrow enough that the guarded drain loop opens real
-        // parallel windows instead of degrading to runOne().
-        params.max_inflight_tasks = 2;
-        params.checkers = CheckerConfig{};
-        params.obs = allOnConfig();
-        params.des = des;
-        NdpSystem system(params, workload);
-        system.run(8);
-        obs::Observability *o = system.observability();
-        EXPECT_NE(o, nullptr);
-        o->finish();
-        Telemetry t;
-        std::ostringstream trace, series;
-        o->trace()->writeJson(trace);
-        o->sampler()->writeJson(series);
-        t.trace = trace.str();
-        t.timeseries = series.str();
-        // Per-category event counts are simulation facts (only the
-        // wall-clock attributions may differ between engines).
-        for (const auto &cat : o->selfProfile().by_cat)
-            t.events_by_cat.push_back(cat.events);
-        return t;
-    };
-
-    const Telemetry serial = observe(DesParams{});
-    EXPECT_NE(serial.trace.find("\"traceEvents\""),
-              std::string::npos);
-    for (unsigned shards : {2u, 4u}) {
-        DesParams des;
-        des.force_sharded = true;
-        des.shards = shards;
-        const Telemetry sharded = observe(des);
-        SCOPED_TRACE("shards " + std::to_string(shards));
-        ASSERT_EQ(serial.trace, sharded.trace)
-            << "trace JSON diverged";
-        ASSERT_EQ(serial.timeseries, sharded.timeseries)
-            << "time-series JSON diverged";
-        EXPECT_EQ(serial.events_by_cat, sharded.events_by_cat);
-    }
 }
 
 TEST(Observability, ServiceRunTracesTenants)
@@ -636,8 +578,7 @@ requestConfig()
 /** A small two-tenant service run; returns the live system through
  *  @p run so callers can inspect telemetry before teardown. */
 ServiceReport
-runServiceWithRequests(const DesParams &des,
-                       const Workload &workload,
+runServiceWithRequests(const Workload &workload,
                        const std::function<void(NdpSystem &)> &inspect)
 {
     SystemParams params = SystemParams::beaconD();
@@ -646,7 +587,6 @@ runServiceWithRequests(const DesParams &des,
     params.max_inflight_tasks = 2;
     params.checkers = CheckerConfig{};
     params.obs = requestConfig();
-    params.des = des;
     NdpSystem system(params);
 
     OrchestratorParams op;
@@ -680,7 +620,7 @@ TEST(RequestTrace, SpanTreeIsWellFormedAndBreakdownSumsExactly)
 #endif
     const FmSeedingWorkload workload(smallPreset());
     const ServiceReport report = runServiceWithRequests(
-        DesParams{}, workload, [&](NdpSystem &system) {
+        workload, [&](NdpSystem &system) {
             obs::Observability *o = system.observability();
             ASSERT_NE(o, nullptr);
             o->finish();
@@ -773,56 +713,6 @@ TEST(RequestTrace, SpanTreeIsWellFormedAndBreakdownSumsExactly)
             sum += c;
         EXPECT_EQ(sum, tenant.breakdown_total_ticks);
         EXPECT_EQ(tenant.slo_jobs, tenant.jobs_completed);
-    }
-}
-
-TEST(RequestTrace, ShardedRequestTelemetryIsByteIdentical)
-{
-#if !BEACON_OBS_ENABLED
-    GTEST_SKIP() << "telemetry compiled out (BEACON_OBS=OFF)";
-#endif
-    const FmSeedingWorkload workload(smallPreset());
-
-    struct Artifacts
-    {
-        std::string reqtrace;
-        std::string timeseries;
-        std::string trace;
-    };
-    const auto observe = [&](const DesParams &des) {
-        Artifacts a;
-        runServiceWithRequests(des, workload, [&](NdpSystem &system) {
-            obs::Observability *o = system.observability();
-            ASSERT_NE(o, nullptr);
-            o->finish();
-            std::ostringstream rt, ts, tr;
-            o->requestTrace()->writeJson(rt);
-            o->sampler()->writeJson(ts);
-            o->trace()->writeJson(tr);
-            a.reqtrace = rt.str();
-            a.timeseries = ts.str();
-            a.trace = tr.str();
-        });
-        return a;
-    };
-
-    const Artifacts serial = observe(DesParams{});
-    EXPECT_NE(serial.reqtrace.find("\"jobs\""), std::string::npos);
-    // The SLO histogram series ride the sampler time series.
-    EXPECT_NE(serial.timeseries.find("slo_p99_ms"),
-              std::string::npos);
-    for (unsigned shards : {2u, 4u}) {
-        DesParams des;
-        des.force_sharded = true;
-        des.shards = shards;
-        const Artifacts sharded = observe(des);
-        SCOPED_TRACE("shards " + std::to_string(shards));
-        ASSERT_EQ(serial.reqtrace, sharded.reqtrace)
-            << "request-trace JSON diverged";
-        ASSERT_EQ(serial.timeseries, sharded.timeseries)
-            << "time-series (histogram/SLO) JSON diverged";
-        ASSERT_EQ(serial.trace, sharded.trace)
-            << "trace JSON diverged";
     }
 }
 

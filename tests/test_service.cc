@@ -187,9 +187,6 @@ TEST(Orchestrator, ConservationAcrossTenantsWithCheckersArmed)
     // The orchestrator already self-checks; re-derive the sums here
     // so a silently skipped internal check cannot hide a drift.
     const StatRegistry &reg = system.stats();
-    // DRAM sums span the whole counter family: the lane-0 host
-    // counter plus the partition twins ("system.part<p>.*") the
-    // CXLG-DIMM lanes write for themselves.
     double fabric = reg.sumMatching("tenant0.usefulBytes");
     double pe = reg.sumMatching("tenant0.peBusyTicks");
     double dram = reg.sumMatching("tenant0.dramBytes");

@@ -196,26 +196,23 @@ TEST(SweepDeterminismTest, SerialAndParallelSweepsAreBitIdentical)
 }
 
 // ---------------------------------------------------------------
-// Serial-vs-sharded differential oracle
+// Run-to-run determinism oracle
 // ---------------------------------------------------------------
 
 /**
- * The sharded engine's contract is bit-identity with the legacy
- * serial queue on every machine the composition code can build, not
- * just the presets. Each iteration draws a random pool shape, runs
- * it once on each engine, and compares the full stat registry dump
- * plus the final tick. BEACON_FUZZ_ITERS scales the sweep for
- * soak runs (default keeps CI fast).
+ * A run must be a pure function of its parameters on every machine
+ * the composition code can build, not just the presets. Each
+ * iteration draws a random pool shape, runs it twice, and compares
+ * the full stat registry dump plus the final tick. BEACON_FUZZ_ITERS
+ * scales the sweep for soak runs (default keeps CI fast).
  */
-TEST(ShardedDifferentialFuzz, RandomPoolsMatchSerial)
+TEST(PoolDeterminismFuzz, RandomPoolsRunIdentically)
 {
     unsigned iters = 200;
     if (const char *env = std::getenv("BEACON_FUZZ_ITERS"))
         iters = unsigned(std::max(1, std::atoi(env)));
 
-    const auto observe = [](SystemParams params,
-                            const DesParams &des) {
-        params.des = des;
+    const auto observe = [](const SystemParams &params) {
         NdpSystem system(params, fuzzWorkload());
         const RunResult r = system.run(8);
         std::ostringstream os;
@@ -223,40 +220,25 @@ TEST(ShardedDifferentialFuzz, RandomPoolsMatchSerial)
         return std::pair<std::string, Tick>(os.str(), r.ticks);
     };
 
-    unsigned multi_lane = 0;
     for (unsigned i = 0; i < iters; ++i) {
         Rng rng(7000 + i);
         SystemParams params = randomPool(rng);
-        // randomPool() arms the full checker fleet, and the CXL link
-        // checker vetoes multi-lane execution; strip the checkers
-        // from half the configs so the oracle also covers real
-        // parallel windows, not just the collapsed path.
+        // randomPool() arms the full checker fleet; strip it from
+        // half the configs so both paths are covered.
         if (i % 2 == 0)
             params.checkers = CheckerConfig{};
 
-        DesParams des;
-        des.force_sharded = true;
-        des.shards = 2 + unsigned(rng.next(7)); // 2..8
-
-        const auto serial = observe(params, DesParams{});
-        const auto sharded = observe(params, des);
-        SCOPED_TRACE("iter " + std::to_string(i) + " shards " +
-                     std::to_string(des.shards));
-        EXPECT_EQ(serial.second, sharded.second);
-        ASSERT_EQ(serial.first, sharded.first)
+        const auto first = observe(params);
+        const auto second = observe(params);
+        SCOPED_TRACE("iter " + std::to_string(i));
+        EXPECT_EQ(first.second, second.second);
+        ASSERT_EQ(first.first, second.first)
             << "stat registry dump diverged";
-
-        if (!params.checkers.cxl_link && params.num_groups > 0 &&
-            params.cxlg_dimms.size() <
-                params.num_groups * params.dimms_per_group)
-            ++multi_lane;
     }
-    EXPECT_GT(multi_lane, iters / 4)
-        << "too few configs eligible for multi-lane execution";
 }
 
 // ---------------------------------------------------------------
-// Rack-scale serial-vs-sharded differential oracle
+// Rack-scale run-to-run determinism oracle
 // ---------------------------------------------------------------
 
 const HashSeedingWorkload &
@@ -273,15 +255,13 @@ rackFuzzWorkload()
 }
 
 /**
- * Same contract as RandomPoolsMatchSerial, one layer up: random rack
- * shapes (host count, tree depth, interleave ways, shared-segment
- * mix, write cadence) with mid-run hot-remove / hot-add / VCS-rebind
- * events must produce bit-identical stat registries on the serial
- * and sharded engines. This is the path with the most cross-lane
- * traffic in the tree: host caches and the fabric on lane 0, each
- * expander's directory on its own controller lane.
+ * Same contract as RandomPoolsRunIdentically, one layer up: random
+ * rack shapes (host count, tree depth, interleave ways,
+ * shared-segment mix, write cadence) with mid-run hot-remove /
+ * hot-add / VCS-rebind events must produce bit-identical stat
+ * registries when run twice.
  */
-TEST(RackDifferentialFuzz, RandomRacksMatchSerial)
+TEST(RackDeterminismFuzz, RandomRacksRunIdentically)
 {
     unsigned iters = 10;
     if (const char *env = std::getenv("BEACON_FUZZ_ITERS"))
@@ -338,26 +318,18 @@ TEST(RackDifferentialFuzz, RandomRacksMatchSerial)
             seg.owner_dimm = 9;
             params.segments.push_back(seg);
         }
-        // The CXL link checker vetoes multi-lane execution; arm the
-        // checkers on half the configs so the oracle covers both the
-        // collapsed and the genuinely parallel path.
+        // Arm the checkers on half the configs.
         if (i % 2 != 0)
             params.base.checkers = CheckerConfig::all();
         const unsigned hot_case = unsigned(rng.next(4));
 
-        rack::RackParams sharded_params = params;
-        sharded_params.base.des.force_sharded = true;
-        sharded_params.base.des.shards =
-            2 + unsigned(rng.next(7)); // 2..8
-
-        const auto serial = observe(params, hot_case);
-        const auto sharded = observe(sharded_params, hot_case);
+        const auto first = observe(params, hot_case);
+        const auto second = observe(params, hot_case);
         SCOPED_TRACE("iter " + std::to_string(i) + " hosts " +
                      std::to_string(params.hosts) + " hot_case " +
-                     std::to_string(hot_case) + " shards " +
-                     std::to_string(sharded_params.base.des.shards));
-        EXPECT_EQ(serial.second, sharded.second);
-        ASSERT_EQ(serial.first, sharded.first)
+                     std::to_string(hot_case));
+        EXPECT_EQ(first.second, second.second);
+        ASSERT_EQ(first.first, second.first)
             << "rack stat registry dump diverged";
     }
 }

@@ -2,33 +2,16 @@
  * @file
  * Whole-program analysis framework for beacon-lint.
  *
- * PR 4's beacon-lint was a per-TU lexical linter; the passes declared
- * here see the whole repository at once, driven by the same lexical
- * code view (no libclang — the CI leg still needs nothing beyond the
- * C++ toolchain):
+ * Besides the per-file checks, beacon-lint runs one pass that sees
+ * the whole repository at once, driven by the same lexical code view
+ * (no libclang — the CI leg still needs nothing beyond the C++
+ * toolchain): the include/layer pass (include_graph.cc) extracts the
+ * project include graph and enforces the architecture DAG, failing
+ * on back-edges and include cycles.
  *
- *  1. the include/layer pass (include_graph.cc) extracts the project
- *     include graph and enforces the architecture DAG, failing on
- *     back-edges and include cycles;
- *  2. the shared-state inventory pass (shared_state.cc) indexes the
- *     mutable surface of the core component classes plus namespace-
- *     scope globals and function-local statics, and resolves which
- *     modules read or write each symbol;
- *  3. the shard-boundary report (shard_map.cc) renders the inventory
- *     as versioned `beacon-shardmap-1` JSON, the machine-checked
- *     artifact the parallel-DES sharding refactor starts from;
- *  4. the lane-ownership pass (lane_check.cc + lane_map.cc) assigns
- *     each core class a static lane domain — the same partition
- *     ShardedEventQueue derives from MemRequest::completion_hint
- *     home hints — and flags member accesses that cross domains
- *     without going through the schedule() mailbox API, StatRegistry
- *     counters, or a `beacon-lint: lane(...)` annotation; its
- *     `beacon-lanemap-1` JSON is the static twin of the runtime
- *     lane guard (BEACON_LANE_GUARD) in src/sim.
- *
- * All passes operate on a Project rooted at the repository (or
- * at a fixture tree under testdata/ in self-test mode), so the same
- * logic is exercised by the self-test and by the repo gate.
+ * The pass operates on a Project rooted at the repository (or at a
+ * fixture tree under testdata/ in self-test mode), so the same logic
+ * is exercised by the self-test and by the repo gate.
  */
 
 #ifndef BEACON_LINT_ANALYSIS_HH
@@ -124,194 +107,6 @@ std::vector<IncludeEdge> includeEdges(const Project &project);
  */
 void runIncludeGraphPass(const Project &project,
                          std::vector<Finding> &out);
-
-// --- shared-state inventory -----------------------------------------
-
-/** A method of a core component class. */
-struct MethodInfo
-{
-    std::string name;
-    bool is_const = false;
-};
-
-/** The indexed surface of one core component class. */
-struct ClassSurface
-{
-    std::string name;          //!< e.g. "EventQueue"
-    std::string module;        //!< owning src/ module
-    std::string header;        //!< repo-relative header path
-    std::map<std::string, MethodInfo> methods;
-    /** Non-static, non-const data members. */
-    std::vector<std::string> mutable_fields;
-    /** const / static constexpr data members. */
-    std::vector<std::string> immutable_fields;
-};
-
-/** A namespace-scope variable or function-local static in src/. */
-struct GlobalState
-{
-    std::string name;
-    std::string file;      //!< repo-relative
-    std::size_t line = 0;  //!< 1-based
-    std::string module;
-    /** "global" or "static-local". */
-    std::string kind;
-    /** Declared std::atomic<...> (safe to share, still listed). */
-    bool atomic = false;
-};
-
-/** How a cross-component access is mediated. */
-enum class AccessCategory
-{
-    EventQueueMediated, //!< through the EventQueue scheduling API
-    StatCounter,        //!< StatRegistry counters (mergeable)
-    Read,               //!< const method on a foreign component
-    DirectMutation,     //!< mutating call across a shard boundary
-};
-
-const char *accessCategoryName(AccessCategory cat);
-
-/** One resolved cross-component access with provenance. */
-struct AccessRecord
-{
-    std::string class_name;
-    std::string member;
-    std::string owner_module;
-    std::string from_file; //!< repo-relative
-    std::size_t line = 0;  //!< 1-based
-    std::string from_module;
-    AccessCategory category = AccessCategory::Read;
-    /** Declared via a `beacon-lint: shared-state(...)` annotation. */
-    bool annotated = false;
-};
-
-/** The full shared-state inventory of a Project. */
-struct ShardMap
-{
-    std::vector<ClassSurface> classes;
-    std::vector<GlobalState> globals;
-    std::vector<AccessRecord> accesses;
-};
-
-/**
- * The shared-state inventory pass: index the core classes and the
- * global/static mutable state, resolve cross-component accesses, and
- * append `shared-state-mutation` findings for every unannotated
- * direct mutation across a component boundary.
- */
-ShardMap runSharedStatePass(const Project &project,
-                            std::vector<Finding> &out);
-
-/** Render @p map as deterministic `beacon-shardmap-1` JSON. */
-std::string shardMapJson(const Project &project,
-                         const ShardMap &map);
-
-// --- shared core-class machinery (shared_state.cc) ------------------
-
-/** One core component class the whole-program passes index. */
-struct CoreClassSpec
-{
-    const char *name;
-    const char *module;
-    const char *header; //!< repo-relative
-};
-
-/** The core component class table. */
-const std::vector<CoreClassSpec> &coreClasses();
-
-/**
- * Index every core class surface whose header exists in the project
- * (fixture trees carry a subset), keyed by class name.
- */
-std::map<std::string, ClassSurface>
-indexCoreSurfaces(const Project &project);
-
-/**
- * Bind receiver variables of @p file to core class surfaces:
- * one-line declarations, unique_ptr/shared_ptr spellings, accessor
- * results, and the SimObject convention names `eq` / `stats`.
- */
-std::map<std::string, const ClassSurface *>
-bindCoreVariables(const SourceFile &file,
-                  const std::map<std::string, ClassSurface> &surfaces);
-
-// --- lane-ownership analysis ----------------------------------------
-
-/**
- * Static lane domain of a core component class — which worker lane
- * of the sharded queue may touch its state inside a parallel window
- * (docs/simulation_model.md, "Sharded execution").
- */
-enum class LaneDomain
-{
-    /** Default-lane resident: fabric, orchestrator, host state. */
-    Lane0,
-    /** One lane per instance, keyed by the home hint the builder
-     *  assigns (1 + dimm index for CXLG components). */
-    PerInstance,
-    /** Barrier lane: runs only while every worker is quiesced. */
-    BarrierOnly,
-    /** A lane-crossing channel by design (the queue itself and the
-     *  registry's counter discipline); accesses are always safe. */
-    Mailbox,
-};
-
-const char *laneDomainName(LaneDomain domain);
-
-/** One class's entry in the lane map. */
-struct LaneAssignment
-{
-    std::string class_name;
-    std::string module;
-    std::string header; //!< repo-relative
-    LaneDomain domain = LaneDomain::Lane0;
-    /** Where instances derive their home hints from. */
-    std::string hint_source;
-};
-
-/** How one observed member access relates to the lane partition. */
-enum class LaneVerdict
-{
-    SameLane,    //!< caller and callee share a lane by construction
-    Mediated,    //!< inside a schedule()/stageEgress() call region
-    StatCounter, //!< StatRegistry (single-writer counter discipline)
-    Read,        //!< const accessor (runtime guard owns this risk)
-    Annotated,   //!< declared with `beacon-lint: lane(...)`
-    Violation,   //!< unmediated cross-lane member access
-};
-
-const char *laneVerdictName(LaneVerdict verdict);
-
-/** One member access observed against the lane partition. */
-struct LaneAccess
-{
-    std::string class_name; //!< callee class
-    std::string member;
-    LaneDomain domain = LaneDomain::Lane0; //!< callee domain
-    std::string from_file;                 //!< repo-relative
-    std::size_t line = 0;                  //!< 1-based
-    std::string from_module;
-    LaneDomain enclosing = LaneDomain::Lane0; //!< caller domain
-    LaneVerdict verdict = LaneVerdict::SameLane;
-};
-
-/** The full lane-ownership map of a Project. */
-struct LaneMap
-{
-    std::vector<LaneAssignment> assignments;
-    std::vector<LaneAccess> accesses;
-};
-
-/**
- * The lane-ownership pass: assign domains, walk the code of every
- * module with lane semantics, and append `lane-violation` findings
- * for unmediated cross-domain accesses.
- */
-LaneMap runLaneMapPass(const Project &project,
-                       std::vector<Finding> &out);
-
-/** Render @p map as deterministic `beacon-lanemap-1` JSON. */
-std::string laneMapJson(const Project &project, const LaneMap &map);
 
 } // namespace beacon_lint
 

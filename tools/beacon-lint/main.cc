@@ -9,19 +9,9 @@
  *       compile database plus any extra files/directories given
  *       (headers are not listed in the database, so CI passes src/
  *       as an extra path), then — when --repo-root is given — the
- *       whole-program passes (include/layer DAG, shared-state
- *       inventory) over everything beneath <root>/src. Exit 1 when
- *       any unsuppressed finding remains.
- *
- *   beacon-lint --repo-root . --shard-map out.json
- *       Additionally write the `beacon-shardmap-1` report. The
- *       committed golden (tools/beacon-lint/shardmap_golden.json)
- *       must reproduce bit-identically; ctest and CI enforce it.
- *
- *   beacon-lint --repo-root . --lane-map out.json
- *       Additionally write the `beacon-lanemap-1` lane-ownership
- *       report (tools/beacon-lint/lanemap_golden.json is the
- *       committed golden, gated the same way).
+ *       whole-program include/layer DAG pass over everything
+ *       beneath <root>/src. Exit 1 when any unsuppressed finding
+ *       remains.
  *
  *   beacon-lint --json ...
  *       Emit findings as a JSON array on stdout instead of the
@@ -30,11 +20,11 @@
  *
  *   beacon-lint --self-test tools/beacon-lint/testdata
  *       Run every per-file check over the fixture files, and the
- *       whole-program passes over the mini source tree under
+ *       layer DAG pass over the mini source tree under
  *       testdata/project/, asserting that the findings match the
  *       `// beacon-lint: expect(<check>)` markers exactly — each
  *       check must both fire where expected and stay quiet where an
- *       allow()/shared-state() annotation suppresses it.
+ *       allow() annotation suppresses it.
  *
  * Every file is lexed at most once per process (SourceCache), and
  * findings are deduplicated on (file, line, check): a header reached
@@ -69,10 +59,6 @@ const std::pair<const char *, const char *> pass_checks[] = {
     {"layer-back-edge",
      "include edge violating the architecture DAG"},
     {"include-cycle", "file-level include cycle"},
-    {"shared-state-mutation",
-     "unannotated cross-component direct mutation"},
-    {"lane-violation",
-     "unmediated cross-lane member access"},
 };
 
 int
@@ -81,8 +67,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [-p compile_commands.json] [--check NAME]...\n"
-        "          [--repo-root DIR] [--shard-map FILE]\n"
-        "          [--lane-map FILE] [--json]\n"
+        "          [--repo-root DIR] [--json]\n"
         "          [--self-test DIR] [--list-checks] [paths...]\n",
         argv0);
     return 2;
@@ -158,23 +143,21 @@ checkEnabled(const std::vector<std::string> &enabled,
 }
 
 /**
- * Run the whole-program passes rooted at @p root. Appends
- * annotation-filtered findings; returns the shard and lane maps
- * (empty on project-build failure, with @p error set).
+ * Run the whole-program layer DAG pass rooted at @p root. Appends
+ * annotation-filtered findings; returns false (with @p error set) on
+ * project-build failure.
  */
 bool
 runProjectPasses(const std::string &root, SourceCache &cache,
                  const std::vector<std::string> &enabled,
-                 std::vector<Finding> &findings, Project &project,
-                 ShardMap &map, LaneMap &lanes, std::string &error)
+                 std::vector<Finding> &findings, std::string &error)
 {
+    Project project;
     if (!buildProject(root, cache, project, error))
         return false;
 
     std::vector<Finding> raw;
     runIncludeGraphPass(project, raw);
-    map = runSharedStatePass(project, raw);
-    lanes = runLaneMapPass(project, raw);
 
     for (Finding &finding : raw) {
         if (!checkEnabled(enabled, finding.check))
@@ -222,17 +205,13 @@ runSelfTest(const std::string &dir)
         actual[path]; // make quiet files participate both ways
     }
 
-    // The whole-program passes run over the fixture source tree.
+    // The layer DAG pass runs over the fixture source tree.
     const fs::path project_dir = fs::path(dir) / "project";
     if (fs::is_directory(project_dir)) {
         std::vector<Finding> findings;
-        Project project;
-        ShardMap map;
-        LaneMap lanes;
         std::string error;
         if (!runProjectPasses(project_dir.string(), cache, {},
-                              findings, project, map, lanes,
-                              error)) {
+                              findings, error)) {
             std::fprintf(stderr, "beacon-lint: %s\n",
                          error.c_str());
             return 2;
@@ -242,7 +221,7 @@ runSelfTest(const std::string &dir)
     } else {
         std::fprintf(stderr,
                      "beacon-lint: warning: no project/ fixture "
-                     "tree under %s; whole-program passes not "
+                     "tree under %s; layer DAG pass not "
                      "self-tested\n",
                      dir.c_str());
     }
@@ -279,24 +258,6 @@ runSelfTest(const std::string &dir)
     std::printf("beacon-lint self-test: %d mismatch(es)\n",
                 failures);
     return 1;
-}
-
-/** Write @p text to @p path, or to stdout when @p path is "-". */
-bool
-writeArtifact(const std::string &path, const std::string &text)
-{
-    if (path == "-") {
-        std::fwrite(text.data(), 1, text.size(), stdout);
-        return true;
-    }
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        std::fprintf(stderr, "beacon-lint: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
-    out << text;
-    return true;
 }
 
 /**
@@ -355,8 +316,6 @@ main(int argc, char **argv)
     std::string db_path;
     std::string self_test_dir;
     std::string repo_root;
-    std::string shard_map_path;
-    std::string lane_map_path;
     bool json_output = false;
     std::vector<std::string> enabled;
     std::set<std::string> paths;
@@ -371,10 +330,6 @@ main(int argc, char **argv)
             self_test_dir = argv[++i];
         } else if (arg == "--repo-root" && i + 1 < argc) {
             repo_root = argv[++i];
-        } else if (arg == "--shard-map" && i + 1 < argc) {
-            shard_map_path = argv[++i];
-        } else if (arg == "--lane-map" && i + 1 < argc) {
-            lane_map_path = argv[++i];
         } else if (arg == "--json") {
             json_output = true;
         } else if (arg == "--list-checks") {
@@ -409,16 +364,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (!shard_map_path.empty() && repo_root.empty()) {
-        std::fprintf(stderr,
-                     "beacon-lint: --shard-map needs --repo-root\n");
-        return 2;
-    }
-    if (!lane_map_path.empty() && repo_root.empty()) {
-        std::fprintf(stderr,
-                     "beacon-lint: --lane-map needs --repo-root\n");
-        return 2;
-    }
     if (paths.empty() && repo_root.empty())
         return usage(argv[0]);
 
@@ -442,23 +387,12 @@ main(int argc, char **argv)
     }
 
     if (!repo_root.empty()) {
-        Project project;
-        ShardMap map;
-        LaneMap lanes;
         std::string error;
         if (!runProjectPasses(repo_root, cache, enabled, all,
-                              project, map, lanes, error)) {
+                              error)) {
             std::fprintf(stderr, "beacon-lint: %s\n", error.c_str());
             return 2;
         }
-        if (!shard_map_path.empty() &&
-            !writeArtifact(shard_map_path,
-                           shardMapJson(project, map)))
-            return 2;
-        if (!lane_map_path.empty() &&
-            !writeArtifact(lane_map_path,
-                           laneMapJson(project, lanes)))
-            return 2;
     }
 
     const std::vector<const Finding *> unique =

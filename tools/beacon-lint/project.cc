@@ -122,20 +122,4 @@ isTapModule(const std::string &module)
     return module == "obs" || module == "check";
 }
 
-const char *
-accessCategoryName(AccessCategory cat)
-{
-    switch (cat) {
-      case AccessCategory::EventQueueMediated:
-        return "event-queue-mediated";
-      case AccessCategory::StatCounter:
-        return "stat-counter";
-      case AccessCategory::Read:
-        return "read";
-      case AccessCategory::DirectMutation:
-        return "direct-mutation";
-    }
-    return "unknown";
-}
-
 } // namespace beacon_lint

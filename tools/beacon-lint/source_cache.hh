@@ -6,8 +6,8 @@
  * through the compile database, an explicit path, *and* the include
  * closure was scanned up to three times and could emit the same
  * finding once per visit. The cache keys on the normalised absolute
- * path: every pass (per-file checks, include graph, shared-state
- * inventory) shares one SourceFile per distinct file on disk.
+ * path: every pass (per-file checks, include graph) shares one
+ * SourceFile per distinct file on disk.
  */
 
 #ifndef BEACON_LINT_SOURCE_CACHE_HH

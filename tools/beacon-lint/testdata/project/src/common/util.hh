@@ -1,14 +1,10 @@
-// Fixture: the bottom of the layer DAG — clean, and contributes one
-// mutable namespace-scope global to the shared-state inventory.
+// Fixture: the bottom of the layer DAG — clean.
 
 #ifndef FIXTURE_COMMON_UTIL_HH
 #define FIXTURE_COMMON_UTIL_HH
 
 namespace fixture
 {
-
-// Inventoried as a mutable global (kind "global", module "common").
-inline int debug_level = 0;
 
 inline int
 clampLevel(int level)

@@ -1,6 +1,6 @@
-// Fixture: a miniature EventQueue at the real header path, so the
-// shared-state pass indexes its surface (schedule* mutating, now()
-// const) exactly as it does for the production class.
+// Fixture: a miniature EventQueue at the real header path — the
+// legal include target of the obs tap (obs -> sim) and of the sim
+// engine (same module).
 
 #ifndef FIXTURE_SIM_EVENT_QUEUE_HH
 #define FIXTURE_SIM_EVENT_QUEUE_HH
@@ -14,13 +14,9 @@ class EventQueue
 {
   public:
     unsigned long now() const { return tick; }
-    void schedule(unsigned long when, int token);
-    void scheduleIn(unsigned long delta, int token);
-    void cancel(int token);
 
   private:
     unsigned long tick = 0;
-    int next_token = 0;
 };
 
 } // namespace fixture
