@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,19 +37,24 @@
 #include "accel/system.hh"
 #include "accel/workload.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace beacon::bench
 {
 
-/** Scale factor from BEACON_BENCH_SCALE (default 1). */
+/** Scale factor from BEACON_BENCH_SCALE (default 1); a value that
+ *  is not a positive integer is fatal. */
 inline unsigned
 benchScale()
 {
     const char *env = std::getenv("BEACON_BENCH_SCALE");
     if (!env)
         return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 1 ? unsigned(v) : 1;
+    const auto scale = parsePositive<unsigned>(env);
+    if (!scale)
+        BEACON_FATAL("invalid BEACON_BENCH_SCALE='", env,
+                     "': expected a positive integer");
+    return *scale;
 }
 
 /** The five seeding presets at bench-tractable sizes. */
@@ -149,8 +155,26 @@ struct BenchOptions
     std::string flight_recorder;
 };
 
+/** Print the shared harness usage and exit with rc=2. */
+[[noreturn]] inline void
+benchUsage(const char *prog)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--json <path>] [--list] "
+                 "[--filter <regex>] [--trace [dir]] "
+                 "[--timeseries [dir]] "
+                 "[--sample-interval-ns <n>] "
+                 "[--self-profile] "
+                 "[--request-trace [dir]] "
+                 "[--slo-window-ns <n>] "
+                 "[--flight-recorder [path]]\n",
+                 prog);
+    std::exit(2);
+}
+
 /**
- * Parse the shared harness flags; exits with usage on anything else.
+ * Parse the shared harness flags; exits with usage on anything else,
+ * including a malformed interval value.
  * `--trace` / `--timeseries` take an optional directory (default:
  * the current directory) and write one file per executed sweep
  * point, named from the harness and the point's dataset/label — the
@@ -168,6 +192,22 @@ parseBenchArgs(int argc, char **argv)
             return argv[++i];
         return ".";
     };
+    // A positive interval in simulated ns, small enough to convert
+    // to ps ticks without overflow.
+    const auto interval_ns = [&](int &i) -> std::uint64_t {
+        const char *flag = argv[i];
+        const char *text = argv[++i];
+        const auto ns = parsePositive<std::uint64_t>(
+            text, std::numeric_limits<std::uint64_t>::max() / 1000);
+        if (!ns) {
+            std::fprintf(stderr,
+                         "invalid %s '%s': expected a positive "
+                         "integer\n",
+                         flag, text);
+            benchUsage(argv[0]);
+        }
+        return *ns;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json" && i + 1 < argc) {
@@ -181,61 +221,40 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--timeseries") {
             opts.timeseries_dir = dir_operand(i);
         } else if (arg == "--sample-interval-ns" && i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v >= 1)
-                opts.sample_interval_ns = std::uint64_t(v);
+            opts.sample_interval_ns = interval_ns(i);
         } else if (arg == "--self-profile") {
             opts.self_profile = true;
         } else if (arg == "--request-trace") {
             opts.reqtrace_dir = dir_operand(i);
         } else if (arg == "--slo-window-ns" && i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v >= 1)
-                opts.slo_window_ns = std::uint64_t(v);
+            opts.slo_window_ns = interval_ns(i);
         } else if (arg == "--flight-recorder") {
             if (i + 1 < argc && argv[i + 1][0] != '-')
                 opts.flight_recorder = argv[++i];
             else
                 opts.flight_recorder = "beacon-flightrec.json";
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--json <path>] [--list] "
-                         "[--filter <regex>] [--trace [dir]] "
-                         "[--timeseries [dir]] "
-                         "[--sample-interval-ns <n>] "
-                         "[--self-profile] "
-                         "[--request-trace [dir]] "
-                         "[--slo-window-ns <n>] "
-                         "[--flight-recorder [path]]\n",
-                         argv[0]);
-            std::exit(2);
+            benchUsage(argv[0]);
         }
     }
     return opts;
 }
 
 /**
- * The per-machine telemetry configuration the flags ask for, layered
- * over the BEACON_TRACE / BEACON_TIMESERIES_NS / BEACON_SELF_PROFILE
- * environment (flags only ever turn features on).
+ * The per-machine telemetry configuration the flags ask for; the
+ * flags are its only source (no flag, no telemetry).
  */
 inline obs::ObsConfig
 obsConfigFor(const BenchOptions &opts)
 {
-    obs::ObsConfig cfg = obs::ObsConfig::fromEnv();
-    if (!opts.trace_dir.empty())
-        cfg.trace = true;
-    if (!opts.timeseries_dir.empty() && cfg.sample_interval == 0)
+    obs::ObsConfig cfg;
+    cfg.trace = !opts.trace_dir.empty();
+    if (!opts.timeseries_dir.empty())
         cfg.sample_interval = opts.sample_interval_ns * 1000; // ->ps
-    if (opts.self_profile)
-        cfg.self_profile = true;
-    if (!opts.reqtrace_dir.empty())
-        cfg.request_trace = true;
-    if (opts.slo_window_ns > 0 && cfg.slo_window == 0)
-        cfg.slo_window = opts.slo_window_ns * 1000; // ns -> ps
-    if (!opts.flight_recorder.empty() &&
-        cfg.flight_recorder_path.empty())
-        cfg.flight_recorder_path = opts.flight_recorder;
+    cfg.self_profile = opts.self_profile;
+    cfg.request_trace = !opts.reqtrace_dir.empty();
+    cfg.slo_window = opts.slo_window_ns * 1000; // ns -> ps
+    cfg.flight_recorder_path = opts.flight_recorder;
     return cfg;
 }
 

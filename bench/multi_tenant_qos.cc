@@ -62,7 +62,7 @@ bulkSpec(const Workload &workload)
     spec.arrival.kind = ArrivalKind::ClosedLoop;
     spec.arrival.concurrency = 4;
     // Loose deadline: bulk work tolerates queueing (SLO monitoring
-    // only engages with --slo-window-ns / BEACON_SLO_WINDOW_NS).
+    // only engages with --slo-window-ns).
     spec.slo_ms = 50.0;
     return spec;
 }

@@ -16,9 +16,8 @@
  * {Pt,Pg,Ss,Am,Nf}, --tasks N, --ideal, --json FILE.
  */
 
-#include <charconv>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -28,6 +27,7 @@
 #include "accel/extension_workloads.hh"
 #include "accel/report.hh"
 #include "accel/system.hh"
+#include "common/parse.hh"
 
 using namespace beacon;
 
@@ -46,20 +46,13 @@ usage()
         "  datasets: Pt Pg Ss Am Nf (seeding apps only)\n");
 }
 
-/**
- * Strict --tasks parsing: digits only, no sign or trailing junk, and
- * greater than zero. Returns false for anything else.
- */
-bool
-parseTasks(const char *text, std::size_t &out)
+/** Report a usage error and exit with rc=1. */
+[[noreturn]] void
+usageError(const char *what, const std::string &value)
 {
-    const char *end = text + std::strlen(text);
-    std::size_t value = 0;
-    const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc() || ptr != end || value == 0)
-        return false;
-    out = value;
-    return true;
+    std::fprintf(stderr, "invalid %s '%s'\n", what, value.c_str());
+    usage();
+    std::exit(1);
 }
 
 SystemParams
@@ -75,17 +68,21 @@ systemByName(const std::string &name)
         return SystemParams::cxlVanillaS();
     if (name == "beacon-s")
         return SystemParams::beaconS();
-    return SystemParams::beaconD();
+    if (name == "beacon-d")
+        return SystemParams::beaconD();
+    usageError("--system", name);
 }
 
 std::unique_ptr<Workload>
 workloadByName(const std::string &app, const std::string &dataset)
 {
-    genomics::DatasetPreset preset = genomics::seedingPresets()[0];
-    for (const auto &candidate : genomics::seedingPresets()) {
-        if (dataset == candidate.name)
-            preset = candidate;
-    }
+    const auto presets = genomics::seedingPresets();
+    const auto found =
+        std::find_if(presets.begin(), presets.end(),
+                     [&](const auto &p) { return p.name == dataset; });
+    if (found == presets.end())
+        usageError("--dataset", dataset);
+    genomics::DatasetPreset preset = *found;
     preset.genome.length = 1 << 17;
     preset.reads.num_reads = 512;
 
@@ -105,7 +102,9 @@ workloadByName(const std::string &app, const std::string &dataset)
     }
     if (app == "dbprobe")
         return std::make_unique<DbProbeWorkload>();
-    return std::make_unique<FmSeedingWorkload>(preset);
+    if (app == "fm")
+        return std::make_unique<FmSeedingWorkload>(preset);
+    usageError("--app", app);
 }
 
 } // namespace
@@ -137,14 +136,10 @@ main(int argc, char **argv)
             dataset = next();
         else if (arg == "--tasks") {
             const char *text = next();
-            if (!parseTasks(text, tasks)) {
-                std::fprintf(stderr,
-                             "invalid --tasks '%s': expected a "
-                             "positive integer\n",
-                             text);
-                usage();
-                return 1;
-            }
+            const auto parsed = parsePositive<std::size_t>(text);
+            if (!parsed)
+                usageError("--tasks", text);
+            tasks = *parsed;
         }
         else if (arg == "--ideal")
             ideal = true;

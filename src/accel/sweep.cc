@@ -10,6 +10,7 @@
 
 #include "accel/report.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/thread_pool.hh"
 
 namespace beacon
@@ -52,14 +53,13 @@ unsigned
 SweepRunner::jobsFromEnv()
 {
     const char *env = std::getenv("BEACON_BENCH_JOBS");
-    if (env) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return unsigned(v);
-        BEACON_WARN("ignoring invalid BEACON_BENCH_JOBS='", env,
-                    "'");
-    }
-    return ThreadPool::defaultThreads();
+    if (!env)
+        return ThreadPool::defaultThreads();
+    const auto jobs = parsePositive<unsigned>(env);
+    if (!jobs)
+        BEACON_FATAL("invalid BEACON_BENCH_JOBS='", env,
+                     "': expected a positive integer");
+    return *jobs;
 }
 
 std::size_t

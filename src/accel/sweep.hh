@@ -87,7 +87,8 @@ class SweepRunner
 
     /**
      * Worker count from BEACON_BENCH_JOBS, or hardware concurrency
-     * when the variable is unset/invalid; always >= 1.
+     * when the variable is unset; always >= 1. A value that is not
+     * a positive integer is fatal.
      */
     static unsigned jobsFromEnv();
 

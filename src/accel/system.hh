@@ -99,19 +99,19 @@ struct SystemParams
     bool ideal_comm = false;
 
     /**
-     * Runtime verification (src/check): defaults to the
-     * BEACON_CHECKERS environment toggle so CI can arm every
-     * checker fleet-wide; harnesses may also set it explicitly.
+     * Runtime verification (src/check): one switch arming every
+     * checker. Defaults to the BEACON_CHECKERS environment variable
+     * so CI can arm them fleet-wide; harnesses may also set it.
      */
     CheckerConfig checkers = CheckerConfig::fromEnv();
 
     /**
-     * Telemetry (src/obs): tracing, time-series sampling, and
-     * self-profiling. Defaults to the BEACON_TRACE /
-     * BEACON_TIMESERIES_NS / BEACON_SELF_PROFILE environment
-     * toggles; all-off (the default) builds no obs machinery.
+     * Telemetry (src/obs): tracing, time-series sampling,
+     * self-profiling, request tracing, SLO monitors and the flight
+     * recorder. All off by default, which builds no obs machinery;
+     * the bench harnesses turn features on from their flags.
      */
-    obs::ObsConfig obs = obs::ObsConfig::fromEnv();
+    obs::ObsConfig obs;
 
     /** No options (see DesParams). */
     DesParams des;

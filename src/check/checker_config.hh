@@ -1,12 +1,13 @@
 /**
  * @file
- * Toggles for the runtime verification layer.
+ * The switch for the runtime verification layer.
  *
  * Checkers are independent shadow models that re-validate what the
  * timing models already enforce; they cost time and exist to catch
- * simulator bugs, so they default to off and are switched on by the
- * fuzz/CI harnesses (or globally via the BEACON_CHECKERS environment
- * variable).
+ * simulator bugs, so they default to off and are switched on, all
+ * together, by the fuzz/CI harnesses (or globally via the
+ * BEACON_CHECKERS environment variable): the DRAM protocol checker,
+ * the CXL link checker, and the NDP accounting invariants.
  */
 
 #ifndef BEACON_CHECK_CHECKER_CONFIG_HH
@@ -17,39 +18,24 @@
 namespace beacon
 {
 
-/** Which checkers a component should instantiate. */
+/** Whether components instantiate their checkers. */
 struct CheckerConfig
 {
-    /** Shadow-validate every DRAM command against JEDEC timings. */
-    bool dram_protocol = false;
-    /** FIFO ordering / bandwidth conservation on CXL links. */
-    bool cxl_link = false;
-    /** Task and access accounting invariants in NDP modules. */
-    bool ndp_accounting = false;
-    /** Command-history ring kept for violation dumps. */
-    unsigned history_depth = 64;
-    /**
-     * Refreshes a rank may postpone before the checker flags a tREFI
-     * violation (JEDEC DDR4 allows postponing up to 8).
-     */
-    unsigned max_postponed_refreshes = 8;
+    /** Arm every checker. */
+    bool enabled = false;
 
-    /** True when any checker is requested. */
+    /** True when the checkers are armed. */
     bool
     any() const
     {
-        return dram_protocol || cxl_link || ndp_accounting;
+        return enabled;
     }
 
     /** Every checker enabled. */
     static CheckerConfig
     all()
     {
-        CheckerConfig c;
-        c.dram_protocol = true;
-        c.cxl_link = true;
-        c.ndp_accounting = true;
-        return c;
+        return CheckerConfig{true};
     }
 
     /** Everything off (the default-constructed state, spelled out). */

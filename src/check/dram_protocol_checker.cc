@@ -10,9 +10,8 @@ namespace beacon
 
 DramProtocolChecker::DramProtocolChecker(std::string name_,
                                          const DimmGeometry &g,
-                                         const DramTimingParams &t,
-                                         const CheckerConfig &config)
-    : name(std::move(name_)), geom(g), tp(t), cfg(config)
+                                         const DramTimingParams &t)
+    : name(std::move(name_)), geom(g), tp(t)
 {
     bank_state.resize(std::size_t{geom.ranks} * geom.chips_per_rank *
                       geom.banksPerRank());
@@ -48,7 +47,7 @@ void
 DramProtocolChecker::record(const DramCommand &cmd)
 {
     history.push_back(cmd);
-    while (history.size() > cfg.history_depth)
+    while (history.size() > history_depth)
         history.pop_front();
     ++n_commands;
 }
@@ -319,13 +318,13 @@ DramProtocolChecker::checkRefresh(const DramCommand &cmd)
                       r.ref_start, ", done t=", r.ref_end));
     }
     const Tick window =
-        Tick{1 + cfg.max_postponed_refreshes} * ck(tp.t_refi);
+        Tick{1 + max_postponed_refreshes} * ck(tp.t_refi);
     const Tick due_from = r.has_ref ? r.ref_start : 0;
     if (t > due_from + window) {
         fail(cmd, detail::formatMessage(
                       "tREFI violation: rank ", rk,
                       " refreshed at t=", t, ", more than ",
-                      1 + cfg.max_postponed_refreshes,
+                      1 + max_postponed_refreshes,
                       " x tREFI after ", due_from));
     }
     r.ref_start = t;
@@ -374,7 +373,7 @@ void
 DramProtocolChecker::finalize(Tick now) const
 {
     const Tick window =
-        Tick{1 + cfg.max_postponed_refreshes} *
+        Tick{1 + max_postponed_refreshes} *
         (Tick{tp.t_refi} * tp.t_ck_ps);
     for (unsigned rk = 0; rk < geom.ranks; ++rk) {
         const ShadowRank &r = rank_state[rk];

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "check/checker_config.hh"
 #include "dram/timing.hh"
 #include "dram/types.hh"
 
@@ -47,9 +46,17 @@ namespace beacon
 class DramProtocolChecker
 {
   public:
+    /** Command-history ring kept for violation dumps. */
+    static constexpr unsigned history_depth = 64;
+
+    /**
+     * Refreshes a rank may postpone before the checker flags a tREFI
+     * violation (JEDEC DDR4 allows postponing up to 8).
+     */
+    static constexpr unsigned max_postponed_refreshes = 8;
+
     DramProtocolChecker(std::string name, const DimmGeometry &geom,
-                        const DramTimingParams &timing,
-                        const CheckerConfig &config = {});
+                        const DramTimingParams &timing);
 
     /** Observe one command; panics on a protocol violation. */
     void observe(const DramCommand &cmd);
@@ -127,7 +134,6 @@ class DramProtocolChecker
     std::string name;
     DimmGeometry geom;
     DramTimingParams tp;
-    CheckerConfig cfg;
 
     std::vector<ShadowBank> bank_state; //!< [rank][chip][flat_bank]
     std::vector<ShadowChip> chip_state; //!< [rank][chip]

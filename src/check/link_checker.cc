@@ -7,9 +7,8 @@
 namespace beacon
 {
 
-CxlLinkChecker::CxlLinkChecker(std::string name_,
-                               const CheckerConfig &config)
-    : name(std::move(name_)), cfg(config)
+CxlLinkChecker::CxlLinkChecker(std::string name_)
+    : name(std::move(name_))
 {
 }
 

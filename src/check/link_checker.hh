@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "check/checker_config.hh"
 #include "common/units.hh"
 
 namespace beacon
@@ -35,8 +34,7 @@ namespace beacon
 class CxlLinkChecker
 {
   public:
-    explicit CxlLinkChecker(std::string name,
-                            const CheckerConfig &config = {});
+    explicit CxlLinkChecker(std::string name);
 
     /** Register one serial channel; @return its channel id. */
     unsigned registerChannel(const std::string &label);
@@ -80,7 +78,6 @@ class CxlLinkChecker
     };
 
     std::string name;
-    CheckerConfig cfg;
     std::vector<Channel> channels;
     std::uint64_t n_submitted = 0;
     std::uint64_t n_delivered = 0;

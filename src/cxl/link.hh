@@ -52,7 +52,7 @@ class CxlLink : public SimObject
           stat_bytes(stat("bytes")),
           stat_transfers(stat("transfers"))
     {
-        if (obs::TraceSink *sink = BEACON_TRACE_SINK(eq)) {
+        if (obs::TraceSink *sink = eq.traceSink()) {
             trace = sink;
             trace_down = sink->track(name + ".down");
             trace_up = sink->track(name + ".up");

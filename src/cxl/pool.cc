@@ -22,10 +22,8 @@ PoolFabric::PoolFabric(const std::string &name, EventQueue &eq,
         p.switch_latency = 0;
         p.host_latency = 0;
     }
-    if (p.checkers.cxl_link) {
-        link_checker =
-            std::make_unique<CxlLinkChecker>(name, p.checkers);
-    }
+    if (p.checkers.enabled)
+        link_checker = std::make_unique<CxlLinkChecker>(name);
     switches.resize(p.num_switches);
     for (unsigned s = 0; s < p.num_switches; ++s) {
         SwitchState &sw = switches[s];
@@ -173,7 +171,7 @@ PoolFabric::sendCtx(NodeId src, NodeId dst, Bytes useful_bytes,
             inner(t);
         };
     }
-    if (BEACON_REQUEST_TRACE(eq) != nullptr) {
+    if (eq.requestTrace() != nullptr) {
         // One FIFO entry per staged payload, popped by routeWire()
         // per flushed Deliver — alignment holds because EVERY submit
         // funnels through here while the trace is attached.
@@ -244,7 +242,7 @@ PoolFabric::routeWire(NodeId src, NodeId dst, Bytes wire,
     // component span per hop below; popping happens even on the
     // loopback path so the FIFO stays aligned.
     std::vector<std::uint64_t> jobs;
-    if (BEACON_REQUEST_TRACE(eq) != nullptr) {
+    if (eq.requestTrace() != nullptr) {
         const std::uint64_t key =
             (std::uint64_t(src.key()) << 32) | dst.key();
         auto &fifo = pending_jobs[key];
@@ -361,7 +359,7 @@ PoolFabric::routeWire(NodeId src, NodeId dst, Bytes wire,
                                            : obs::SpanKind::Switch;
             next = [this, jobs, hop_start, kind,
                     self = weak_step.lock(), i]() {
-                if (obs::RequestTrace *rt = BEACON_REQUEST_TRACE(eq)) {
+                if (obs::RequestTrace *rt = eq.requestTrace()) {
                     for (const std::uint64_t job : jobs) {
                         rt->recordSpan(job, kind, hop_start,
                                        curTick());

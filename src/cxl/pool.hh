@@ -62,7 +62,7 @@ struct PoolParams
     /** Idealized communication: infinite bandwidth, zero latency. */
     bool ideal = false;
 
-    /** Verification toggles; cxl_link arms the link checker. */
+    /** Verification switch; arms the link checker. */
     CheckerConfig checkers;
 };
 

@@ -24,11 +24,11 @@ DramController::DramController(const std::string &name, EventQueue &eq,
       stat_row_conflicts(stat("rowConflicts")),
       stat_latency(stats.sampleStat(name + ".requestLatency"))
 {
-    if (params.checkers.dram_protocol) {
-        protocol_checker = std::make_unique<DramProtocolChecker>(
-            name, geom, timing, params.checkers);
+    if (params.checkers.enabled) {
+        protocol_checker =
+            std::make_unique<DramProtocolChecker>(name, geom, timing);
     }
-    if (obs::TraceSink *sink = BEACON_TRACE_SINK(eq)) {
+    if (obs::TraceSink *sink = eq.traceSink()) {
         trace = sink;
         trace_ctrl = sink->track(name);
         for (unsigned r = 0; r < geom.ranks; ++r) {
@@ -147,7 +147,7 @@ DramController::decideOnce()
     const Tick now = curTick();
     const unsigned bpg = model.geometry().banks_per_group;
     const unsigned window =
-        std::min<std::size_t>(params.scan_window, queue.size());
+        std::min<std::size_t>(scan_window, queue.size());
 
     // Classify the next needed command for each request in the
     // window and find the best candidate.
@@ -242,7 +242,7 @@ DramController::decideOnce()
             if (done.job != 0) {
                 // Request-scoped attribution: DRAM media time is the
                 // whole queue-to-data residency in this controller.
-                if (obs::RequestTrace *rt = BEACON_REQUEST_TRACE(eq))
+                if (obs::RequestTrace *rt = eq.requestTrace())
                     rt->recordSpan(done.job, obs::SpanKind::Dram,
                                    done.enqueue_tick, data_end);
                 if (trace)

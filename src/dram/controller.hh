@@ -42,10 +42,9 @@ class DramProtocolChecker;
 /** Tunables for a DramController. */
 struct DramControllerParams
 {
-    unsigned scan_window = 32;   //!< FR-FCFS lookahead depth
     bool enable_refresh = true;
     PagePolicy page_policy = PagePolicy::Open;
-    /** Verification toggles; dram_protocol arms the shadow checker. */
+    /** Verification switch; arms the shadow protocol checker. */
     CheckerConfig checkers;
 };
 
@@ -85,6 +84,9 @@ class DramController : public SimObject
     void finalizeCheck() const;
 
   private:
+    /** FR-FCFS lookahead depth from the queue head. */
+    static constexpr unsigned scan_window = 32;
+
     struct ActiveRequest
     {
         MemRequest req;

@@ -19,7 +19,7 @@ NdpModule::NdpModule(const std::string &name, EventQueue &eq,
 {
     BEACON_ASSERT(p.num_pes > 0, "NDP module needs at least one PE");
     BEACON_ASSERT(issue, "NDP module needs a memory path");
-    if (obs::TraceSink *sink = BEACON_TRACE_SINK(eq)) {
+    if (obs::TraceSink *sink = eq.traceSink()) {
         trace = sink;
         trace_mod = sink->track(name);
     }
@@ -85,7 +85,7 @@ NdpModule::dispatch()
 void
 NdpModule::finalizeCheck() const
 {
-    if (!p.checkers.ndp_accounting)
+    if (!p.checkers.enabled)
         return;
     BEACON_CHECK(resident_tasks == 0, name(), ": ", resident_tasks,
                  " tasks still resident at end of run");
@@ -102,7 +102,7 @@ NdpModule::runStep(std::unique_ptr<PendingTask> pending)
 {
     ++busy_pes;
     ++stat_steps;
-    if (p.checkers.ndp_accounting) {
+    if (p.checkers.enabled) {
         BEACON_CHECK(busy_pes <= p.num_pes, name(),
                      ": PE overcommit, ", busy_pes, " busy of ",
                      p.num_pes);
@@ -124,7 +124,7 @@ NdpModule::runStep(std::unique_ptr<PendingTask> pending)
         // schedule time with its future end (the sweep clips it to
         // the job's lifetime), and a flow step binds to the open
         // task slice so Perfetto draws the causal arrow chain.
-        if (obs::RequestTrace *rt = BEACON_REQUEST_TRACE(eq)) {
+        if (obs::RequestTrace *rt = eq.requestTrace()) {
             rt->recordSpan(job, obs::SpanKind::Pe, curTick(),
                            curTick() + compute);
         }
@@ -171,7 +171,7 @@ NdpModule::runStep(std::unique_ptr<PendingTask> pending)
         auto holder = std::make_shared<std::unique_ptr<PendingTask>>(
             std::move(pending));
         const Tick issue_tick = curTick();
-        const bool check = p.checkers.ndp_accounting;
+        const bool check = p.checkers.enabled;
         for (const AccessRequest &raw : step.accesses) {
             ++accesses_issued;
             ++stat_accesses;

@@ -37,7 +37,7 @@ struct NdpModuleParams
     Tick pe_clock_ps = 1250;     //!< PE clock = DRAM bus clock
     /** Max tasks resident (incoming + outgoing + running). */
     unsigned max_inflight_tasks = 512;
-    /** Verification toggles; ndp_accounting arms invariant checks. */
+    /** Verification switch; arms the accounting invariant checks. */
     CheckerConfig checkers;
     /**
      * Ticks between a task's last step retiring on the module and
@@ -98,7 +98,7 @@ class NdpModule : public SimObject
     unsigned residentTasks() const { return resident_tasks; }
 
     /**
-     * End-of-run accounting validation (checkers.ndp_accounting):
+     * End-of-run accounting validation (checkers.enabled):
      * once every dispatched task has completed, the module must be
      * empty and every issued access must have completed.
      */

@@ -1,6 +1,5 @@
 #include "observability.hh"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "common/logging.hh"
@@ -8,60 +7,11 @@
 namespace beacon::obs
 {
 
-namespace
-{
-
-bool
-envFlag(const char *name)
-{
-    const char *env = std::getenv(name);
-    return env && env[0] && !(env[0] == '0' && env[1] == '\0');
-}
-
-} // namespace
-
-ObsConfig
-ObsConfig::fromEnv()
-{
-    ObsConfig cfg;
-    cfg.trace = envFlag("BEACON_TRACE");
-    cfg.self_profile = envFlag("BEACON_SELF_PROFILE");
-    cfg.request_trace = envFlag("BEACON_REQUEST_TRACE");
-    if (const char *env = std::getenv("BEACON_TIMESERIES_NS")) {
-        const long long ns = std::strtoll(env, nullptr, 10);
-        if (ns > 0)
-            cfg.sample_interval = std::uint64_t(ns) * 1000; // ns->ps
-        else
-            BEACON_WARN("ignoring invalid BEACON_TIMESERIES_NS='",
-                        env, "'");
-    }
-    if (const char *env = std::getenv("BEACON_SLO_WINDOW_NS")) {
-        const long long ns = std::strtoll(env, nullptr, 10);
-        if (ns > 0)
-            cfg.slo_window = std::uint64_t(ns) * 1000; // ns->ps
-        else
-            BEACON_WARN("ignoring invalid BEACON_SLO_WINDOW_NS='",
-                        env, "'");
-    }
-    if (const char *env = std::getenv("BEACON_FLIGHT_RECORDER")) {
-        if (env[0] == '0' && env[1] == '\0') {
-            // explicit off
-        } else if (env[0] == '1' && env[1] == '\0') {
-            cfg.flight_recorder_path = "beacon-flightrec.json";
-        } else if (env[0]) {
-            cfg.flight_recorder_path = env;
-        }
-    }
-    return cfg;
-}
-
 Observability::Observability(EventQueue &eq, const ObsConfig &cfg)
-    : eq(eq), cfg(cfg)
+    : eq(eq)
 {
-#if BEACON_OBS_ENABLED
     if (cfg.trace) {
-        sink_ = std::make_unique<TraceSink>(eq,
-                                            cfg.trace_buffer_events);
+        sink_ = std::make_unique<TraceSink>(eq);
         eq.setTraceSink(sink_.get());
     }
     if (cfg.request_trace) {
@@ -86,11 +36,6 @@ Observability::Observability(EventQueue &eq, const ObsConfig &cfg)
         profiler_ = std::make_unique<SelfProfiler>();
         eq.setProfiler(profiler_.get());
     }
-#else
-    if (cfg.enabled())
-        BEACON_WARN("telemetry requested but compiled out "
-                    "(BEACON_OBS=OFF)");
-#endif
 }
 
 Observability::~Observability()

@@ -35,8 +35,6 @@ class Observability
     Observability(const Observability &) = delete;
     Observability &operator=(const Observability &) = delete;
 
-    const ObsConfig &config() const { return cfg; }
-
     /** Trace sink, or nullptr when tracing is off. */
     TraceSink *trace() { return sink_.get(); }
 
@@ -48,9 +46,6 @@ class Observability
 
     /** SLO monitor, or nullptr when no SLO window is configured. */
     SloMonitor *slo() { return slo_.get(); }
-
-    /** Flight recorder, or nullptr when off. */
-    FlightRecorder *flightRecorder() { return flight_.get(); }
 
     bool selfProfiling() const { return profiler_ != nullptr; }
 
@@ -77,7 +72,6 @@ class Observability
 
   private:
     EventQueue &eq;
-    ObsConfig cfg;
     std::unique_ptr<TraceSink> sink_;
     std::unique_ptr<Sampler> sampler_;
     std::unique_ptr<SelfProfiler> profiler_;

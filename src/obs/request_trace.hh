@@ -120,16 +120,4 @@ class RequestTrace
 
 } // namespace beacon::obs
 
-/**
- * Request-trace entry point for instrumented components: the
- * RequestTrace attached to an EventQueue, or a compile-time nullptr
- * when BEACON_OBS is off.
- */
-#if BEACON_OBS_ENABLED
-#define BEACON_REQUEST_TRACE(eq) ((eq).requestTrace())
-#else
-#define BEACON_REQUEST_TRACE(eq) \
-    (static_cast<::beacon::obs::RequestTrace *>(nullptr))
-#endif
-
 #endif // BEACON_OBS_REQUEST_TRACE_HH

@@ -60,8 +60,11 @@ struct TraceEvent
 class TraceSink
 {
   public:
+    /** Ring capacity of the sink an Observability bundle builds. */
+    static constexpr std::size_t default_capacity = 1 << 16;
+
     explicit TraceSink(const EventQueue &eq,
-                       std::size_t capacity = std::size_t(1) << 16);
+                       std::size_t capacity = default_capacity);
 
     /** Track id for @p name, creating the track on first use. */
     TrackId track(const std::string &name);
@@ -207,17 +210,5 @@ class TraceSpan
 };
 
 } // namespace beacon::obs
-
-/**
- * Instrumentation entry point: the trace sink attached to an
- * EventQueue, or a compile-time nullptr when BEACON_OBS is off (so
- * every `if (sink)` block dead-code-eliminates).
- */
-#if BEACON_OBS_ENABLED
-#define BEACON_TRACE_SINK(eq) ((eq).traceSink())
-#else
-#define BEACON_TRACE_SINK(eq) \
-    (static_cast<::beacon::obs::TraceSink *>(nullptr))
-#endif
 
 #endif // BEACON_OBS_TRACE_HH

@@ -42,8 +42,8 @@ meanMs(const std::vector<Tick> &samples)
 PoolOrchestrator::PoolOrchestrator(NdpSystem &sys,
                                    const OrchestratorParams &params)
     : system(sys), p(params), scheduler(makeScheduler(p.scheduler)),
-      trace(BEACON_TRACE_SINK(sys.eventQueue())),
-      reqtrace(BEACON_REQUEST_TRACE(sys.eventQueue())),
+      trace(sys.eventQueue().traceSink()),
+      reqtrace(sys.eventQueue().requestTrace()),
       slo(sys.obsSlo())
 {
 }

@@ -13,7 +13,6 @@ EventQueue::schedule(Tick when, Callback cb, EventCat cat)
     const EventId id = next_seq;
     queue.push(Entry{when, next_seq, id, cat});
     ++next_seq;
-    live.insert(id);
     callbacks.emplace(id, std::move(cb));
     return id;
 }
@@ -21,14 +20,13 @@ EventQueue::schedule(Tick when, Callback cb, EventCat cat)
 void
 EventQueue::cancel(EventId id)
 {
-    live.erase(id);
     callbacks.erase(id);
 }
 
 bool
 EventQueue::scheduled(EventId id) const
 {
-    return live.count(id) != 0;
+    return callbacks.count(id) != 0;
 }
 
 bool
@@ -59,7 +57,6 @@ EventQueue::runOne()
         _now = top.when;
         Callback cb = std::move(it->second);
         callbacks.erase(it);
-        live.erase(top.id);
         ++executed;
         if (flight)
             flight->note(top.when, top.cat);
@@ -97,7 +94,6 @@ EventQueue::reset()
 {
     queue = {};
     callbacks.clear();
-    live.clear();
     _now = 0;
     executed = 0;
     next_seq = 0;

@@ -15,7 +15,6 @@
 #include <queue>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/units.hh"
@@ -73,8 +72,10 @@ eventCatName(EventCat cat)
 /**
  * Observer notified around every callback the queue executes.
  *
- * The sim layer defines only the interface; obs::SelfProfiler is the
- * one implementation and is the sanctioned place for wall-clock use.
+ * The sim layer defines only the interface; the implementations
+ * (obs::SelfProfiler, the host-performance benchmark's layer
+ * profiler) live outside it and are the sanctioned places for
+ * wall-clock use.
  */
 class EventProfiler
 {
@@ -134,7 +135,7 @@ class EventQueue
      * Number of live pending events (cancelled events excluded, even
      * while their queue entries await lazy removal).
      */
-    std::size_t pending() const { return live.size(); }
+    std::size_t pending() const { return callbacks.size(); }
 
     /**
      * Size of the internal heap: live events plus cancelled entries
@@ -214,9 +215,6 @@ class EventQueue
      */
     void setFlightRecorder(EventRecorder *recorder) { flight = recorder; }
 
-    /** Flight recorder for this queue, or nullptr when off. */
-    EventRecorder *flightRecorder() const { return flight; }
-
   private:
     struct Entry
     {
@@ -246,8 +244,9 @@ class EventQueue
     obs::TraceSink *trace_sink = nullptr;
     obs::RequestTrace *request_trace = nullptr;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    std::unordered_set<EventId> live;
-    // Callbacks stored separately so Entry stays cheap to copy.
+    // Callbacks stored separately so Entry stays cheap to copy; an
+    // id is live (scheduled, not fired or cancelled) exactly while
+    // it has a callback here.
     std::unordered_map<EventId, Callback> callbacks;
 };
 

@@ -266,6 +266,19 @@ TEST(CheckerSystemTest, FullRunWithAllCheckersIsQuiet)
     ASSERT_NE(checker, nullptr);
     EXPECT_GT(checker->commandsObserved(), 0u);
     EXPECT_EQ(checker->violations(), 0u);
+
+    // The one switch also arms the link checker, which saw every
+    // fabric message delivered.
+    const CxlLinkChecker *link = system.poolFabric().checker();
+    ASSERT_NE(link, nullptr);
+    EXPECT_GT(link->submitted(), 0u);
+    EXPECT_EQ(link->submitted(), link->delivered());
+
+    // ...and switching it off leaves both checkers out.
+    params.checkers = CheckerConfig::none();
+    NdpSystem unchecked(params, workload);
+    EXPECT_EQ(unchecked.dimmController(0).checker(), nullptr);
+    EXPECT_EQ(unchecked.poolFabric().checker(), nullptr);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -318,9 +319,6 @@ allOnConfig()
 
 TEST(Observability, TracingDoesNotPerturbTheSimulation)
 {
-#if !BEACON_OBS_ENABLED
-    GTEST_SKIP() << "telemetry compiled out (BEACON_OBS=OFF)";
-#endif
     const FmSeedingWorkload workload(smallPreset());
 
     SystemParams off = SystemParams::beaconD();
@@ -348,11 +346,26 @@ TEST(Observability, TracingDoesNotPerturbTheSimulation)
               sys_off.stats().sumMatching(".bytes"));
 }
 
+TEST(Observability, DefaultParamsIgnoreTelemetryEnvironment)
+{
+    // Telemetry is switched on through SystemParams::obs (which the
+    // bench harnesses set from their flags), never from the
+    // environment.
+    ASSERT_EQ(setenv("BEACON_TRACE", "1", 1), 0);
+    ASSERT_EQ(setenv("BEACON_SELF_PROFILE", "1", 1), 0);
+    ASSERT_EQ(setenv("BEACON_TIMESERIES_NS", "1000", 1), 0);
+    const FmSeedingWorkload workload(smallPreset());
+    // The preset leaves SystemParams::obs at its default.
+    NdpSystem system(SystemParams::beaconD(), workload);
+    const bool built = system.observability() != nullptr;
+    unsetenv("BEACON_TRACE");
+    unsetenv("BEACON_SELF_PROFILE");
+    unsetenv("BEACON_TIMESERIES_NS");
+    EXPECT_FALSE(built);
+}
+
 TEST(Observability, Fig12SmallTimeseriesGolden)
 {
-#if !BEACON_OBS_ENABLED
-    GTEST_SKIP() << "telemetry compiled out (BEACON_OBS=OFF)";
-#endif
     const FmSeedingWorkload workload(smallPreset());
     SystemParams params = SystemParams::beaconD();
     params.obs = obs::ObsConfig{};
@@ -370,9 +383,6 @@ TEST(Observability, Fig12SmallTimeseriesGolden)
 
 TEST(Observability, ServiceRunTracesTenants)
 {
-#if !BEACON_OBS_ENABLED
-    GTEST_SKIP() << "telemetry compiled out (BEACON_OBS=OFF)";
-#endif
     const FmSeedingWorkload workload(smallPreset());
     SystemParams params = SystemParams::beaconD();
     params.name = "BEACON-D (service)";
@@ -615,9 +625,6 @@ runServiceWithRequests(const Workload &workload,
 
 TEST(RequestTrace, SpanTreeIsWellFormedAndBreakdownSumsExactly)
 {
-#if !BEACON_OBS_ENABLED
-    GTEST_SKIP() << "telemetry compiled out (BEACON_OBS=OFF)";
-#endif
     const FmSeedingWorkload workload(smallPreset());
     const ServiceReport report = runServiceWithRequests(
         workload, [&](NdpSystem &system) {

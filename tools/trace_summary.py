@@ -78,7 +78,7 @@ def main():
     if dropped:
         print(f"WARNING: ring buffer dropped {dropped} events — "
               f"oldest activity is missing; raise "
-              f"trace_buffer_events")
+              f"TraceSink::default_capacity")
 
     ranked = sorted(set(spans) | set(instants) | set(counters),
                     key=lambda t: -busy_us[t])
