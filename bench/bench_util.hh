@@ -153,7 +153,28 @@ struct BenchOptions
     std::uint64_t slo_window_ns = 0;
     /** Flight-recorder dump path ("" = recorder off). */
     std::string flight_recorder;
+    /** Emit the wall-clock JSON fields (BEACON_BENCH_JSON_NO_WALL
+     *  unset or 0); see jsonIncludesWall(). */
+    bool json_wall = true;
 };
+
+/**
+ * Whether bench JSON carries its wall-clock fields: yes when
+ * BEACON_BENCH_JSON_NO_WALL is unset or "0", no when it is "1"; any
+ * other value is fatal.
+ */
+inline bool
+jsonIncludesWall()
+{
+    const char *env = std::getenv("BEACON_BENCH_JSON_NO_WALL");
+    if (!env)
+        return true;
+    const std::string value = env;
+    if (value != "0" && value != "1")
+        BEACON_FATAL("invalid BEACON_BENCH_JSON_NO_WALL='", value,
+                     "': expected 0 or 1");
+    return value == "0";
+}
 
 /** Print the shared harness usage and exit with rc=2. */
 [[noreturn]] inline void
@@ -237,6 +258,7 @@ parseBenchArgs(int argc, char **argv)
             benchUsage(argv[0]);
         }
     }
+    opts.json_wall = jsonIncludesWall();
     return opts;
 }
 
@@ -375,9 +397,9 @@ makeReport(const char *harness, const SweepRunner &runner)
 }
 
 /**
- * Write the report to opts.json_path (if set). Honours
- * BEACON_BENCH_JSON_NO_WALL=1 by omitting the non-deterministic
- * wall-clock fields.
+ * Write the report to opts.json_path (if set), without the
+ * non-deterministic wall-clock fields when opts.json_wall is false
+ * (BEACON_BENCH_JSON_NO_WALL=1).
  */
 inline void
 emitJson(SweepReport &report, const BenchOptions &opts,
@@ -387,14 +409,11 @@ emitJson(SweepReport &report, const BenchOptions &opts,
     // List mode enumerates points; nothing ran, so nothing to emit.
     if (opts.json_path.empty() || opts.list)
         return;
-    const char *no_wall = std::getenv("BEACON_BENCH_JSON_NO_WALL");
-    const bool include_runtime =
-        !(no_wall && no_wall[0] && no_wall[0] != '0');
     std::ofstream out(opts.json_path);
     if (!out)
         BEACON_FATAL("cannot open --json path '", opts.json_path,
                      "'");
-    writeSweepJson(out, report, include_runtime);
+    writeSweepJson(out, report, opts.json_wall);
     std::fprintf(stderr, "bench JSON written to %s\n",
                  opts.json_path.c_str());
 }

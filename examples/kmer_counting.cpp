@@ -12,11 +12,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "accel/experiment.hh"
 #include "accel/system.hh"
 #include "accel/workload.hh"
+#include "common/parse.hh"
 #include "genomics/bloom.hh"
 
 using namespace beacon;
@@ -24,8 +24,19 @@ using namespace beacon;
 int
 main(int argc, char **argv)
 {
-    const std::size_t reads =
-        argc > 1 ? std::size_t(std::atoi(argv[1])) : 256;
+    constexpr std::size_t max_reads = std::size_t{1} << 20;
+    std::size_t reads = 256;
+    if (argc > 1) {
+        const auto parsed = parsePositive<std::size_t>(argv[1], max_reads);
+        if (!parsed) {
+            std::fprintf(stderr,
+                         "invalid argument '%s'\n"
+                         "usage: kmer_counting [reads=256, 1..%zu]\n",
+                         argv[1], max_reads);
+            return 1;
+        }
+        reads = *parsed;
+    }
 
     genomics::DatasetPreset preset = genomics::kmerCountingPreset();
     preset.genome.length = 1 << 17;

@@ -18,18 +18,55 @@
 #include "accel/experiment.hh"
 #include "accel/system.hh"
 #include "accel/workload.hh"
+#include "common/parse.hh"
 
 using namespace beacon;
+
+namespace
+{
+
+/** Largest accepted genome_log2: a human-scale (4 Gbase) reference. */
+constexpr unsigned max_genome_log2 = 32;
+constexpr std::size_t max_reads = std::size_t{1} << 20;
+
+/** Report a bad positional argument and exit with rc=1. */
+[[noreturn]] void
+usageError(const char *arg, unsigned min_genome_log2)
+{
+    std::fprintf(stderr,
+                 "invalid argument '%s'\n"
+                 "usage: seeding_pipeline [genome_log2=17, %u..%u] "
+                 "[reads=512, 1..%zu]\n",
+                 arg, min_genome_log2, max_genome_log2, max_reads);
+    std::exit(1);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
-    const unsigned genome_log2 =
-        argc > 1 ? unsigned(std::atoi(argv[1])) : 17;
-    const std::size_t num_reads =
-        argc > 2 ? std::size_t(std::atoi(argv[2])) : 512;
-
     genomics::DatasetPreset preset = genomics::seedingPresets()[0];
+    // The reference must hold at least one read.
+    unsigned min_genome_log2 = 1;
+    while ((std::size_t{1} << min_genome_log2) < preset.reads.read_length)
+        ++min_genome_log2;
+
+    unsigned genome_log2 = 17;
+    if (argc > 1) {
+        const auto parsed =
+            parsePositive<unsigned>(argv[1], max_genome_log2);
+        if (!parsed || *parsed < min_genome_log2)
+            usageError(argv[1], min_genome_log2);
+        genome_log2 = *parsed;
+    }
+    std::size_t num_reads = 512;
+    if (argc > 2) {
+        const auto parsed = parsePositive<std::size_t>(argv[2], max_reads);
+        if (!parsed)
+            usageError(argv[2], min_genome_log2);
+        num_reads = *parsed;
+    }
     preset.genome.length = std::size_t{1} << genome_log2;
     preset.reads.num_reads = num_reads;
 

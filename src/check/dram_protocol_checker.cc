@@ -342,9 +342,21 @@ DramProtocolChecker::checkRefresh(const DramCommand &cmd)
 }
 
 void
+DramProtocolChecker::checkClockEdge(const DramCommand &cmd)
+{
+    if (cmd.tick % tp.t_ck_ps != 0) {
+        fail(cmd, detail::formatMessage(
+                      "command off the bus clock: t=", cmd.tick,
+                      " is not a multiple of tCK (", tp.t_ck_ps,
+                      " ps)"));
+    }
+}
+
+void
 DramProtocolChecker::observe(const DramCommand &cmd)
 {
     record(cmd);
+    checkClockEdge(cmd);
     if (cmd.kind == DramCommandKind::Refresh) {
         checkRefresh(cmd);
         return;

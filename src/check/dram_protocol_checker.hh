@@ -11,6 +11,8 @@
  * recent command history.
  *
  * Checked invariants (all in terms of the raw command ticks):
+ *   - every command (REF included) issues on a bus-clock edge, i.e.
+ *     at a multiple of tCK;
  *   - ACT only to a closed bank; tRC, tRP (after PRE), tRRD_S/L,
  *     tFAW (at most 4 ACTs per chip per rolling window);
  *   - PRE no earlier than tRAS after ACT, tRTP after RD,
@@ -115,7 +117,9 @@ class DramProtocolChecker
     void checkColumn(const DramCommand &cmd);
     void checkRefresh(const DramCommand &cmd);
 
-    /** Common per-command gates: refresh window, C/A bus spacing. */
+    /** Common per-command gates: bus-clock edge, refresh window,
+     *  C/A bus spacing. */
+    void checkClockEdge(const DramCommand &cmd);
     void checkRankAvailable(const DramCommand &cmd);
     void checkCmdBus(const DramCommand &cmd);
 

@@ -102,6 +102,7 @@ DramController::enqueue(MemRequest req)
                   "chip group out of range");
     req.enqueue_tick = curTick();
     queue.push_back(ActiveRequest{std::move(req), 0});
+    dirty = true;
     if (trace)
         trace->counter(trace_ctrl, "queue", double(queue.size()));
     scheduleDecision(curTick());
@@ -132,10 +133,15 @@ DramController::decide()
     // Issue as many commands as the C/A bus(es) allow at this tick:
     // a customised DIMM drives each rank's bus independently, so
     // several commands (to different ranks) may go out together.
-    while (decideOnce()) {
+    // Every earliest-issue tick is align(max(now, c)) with c fixed by
+    // the state, so while nothing changed and now < soonest the scan
+    // would find nothing ready and the same soonest: skip it.
+    if (dirty || curTick() >= soonest) {
+        while (decideOnce()) {
+        }
     }
     if (!queue.empty())
-        scheduleDecision(curTick() + model.tCK());
+        scheduleDecision(std::min(soonest, curTick() + model.tCK()));
 }
 
 bool
@@ -163,7 +169,8 @@ DramController::decideOnce()
     Candidate best_ready{0, Need::Pre, max_tick, false};
     bool have_ready = false;
     bool have_ready_hit = false;
-    Tick soonest = max_tick;
+    soonest = max_tick;
+    dirty = false;
 
     for (unsigned i = 0; i < window; ++i) {
         const ActiveRequest &ar = queue[i];
@@ -195,12 +202,10 @@ DramController::decideOnce()
         }
     }
 
-    if (!have_ready) {
-        if (soonest != max_tick)
-            scheduleDecision(soonest);
+    if (!have_ready)
         return false;
-    }
 
+    dirty = true;
     ActiveRequest &ar = queue[best_ready.idx];
     const DramCoord &coord = ar.req.coord;
     switch (best_ready.need) {
@@ -279,6 +284,7 @@ DramController::refreshTick(unsigned rank)
         return;
     }
     model.issueRefresh(rank, now);
+    dirty = true;
     const Tick refi =
         model.timing().t_refi * model.timing().t_ck_ps;
     eq.schedule(now + refi, [this, rank] { refreshTick(rank); },

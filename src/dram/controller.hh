@@ -11,6 +11,15 @@
  * Refresh is per-rank every tREFI and may be postponed while the rank
  * drains (JEDEC permits postponing refreshes; we do not model the
  * 8-deep postpone limit).
+ *
+ * Wake-ups: while requests are queued, a decision event fires on
+ * every clock edge (the chain fixes where each decision sits among
+ * other same-tick events). A wake-up rescans the window only when
+ * the answer can have changed: the state is dirty (a request
+ * arrived, a command issued, or a refresh started) or the clock has
+ * reached the soonest earliest-issue tick of the last scan. Other
+ * edges cost O(1) and re-arm at min(soonest, now + tCK). See
+ * docs/simulation_model.md, "DRAM controller wake-ups".
  */
 
 #ifndef BEACON_DRAM_CONTROLLER_HH
@@ -93,11 +102,16 @@ class DramController : public SimObject
         unsigned bursts_issued = 0;
     };
 
-    /** One scheduling round: issue all commands ready this tick. */
+    /**
+     * One scheduling round: issue all commands ready this tick, then
+     * arm the next wake-up while requests remain.
+     */
     void decide();
 
     /**
-     * Issue at most one command.
+     * Issue at most one command. A scan that finds nothing ready
+     * records the soonest earliest-issue tick and clears the dirty
+     * flag; it schedules nothing.
      * @return true if a command was issued.
      */
     bool decideOnce();
@@ -116,6 +130,10 @@ class DramController : public SimObject
     std::unique_ptr<DramProtocolChecker> protocol_checker;
 
     std::deque<ActiveRequest> queue;
+    /** Minimum earliest-issue tick over the window at the last scan. */
+    Tick soonest = max_tick;
+    /** State changed since the last scan, so `soonest` is stale. */
+    bool dirty = true;
     bool decision_pending = false;
     EventId decision_event = 0;
     Tick decision_time = max_tick;

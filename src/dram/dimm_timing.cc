@@ -102,6 +102,7 @@ DimmTimingModel::bankClosed(const DramCoord &coord,
 Tick
 DimmTimingModel::earliestAct(const DramCoord &coord, Tick t) const
 {
+    ++n_queries;
     Tick earliest = std::max(t, cmdBusFree(coord.rank));
     earliest = std::max(earliest, ranks[coord.rank].ref_busy_until);
     const Tick ck = tp.t_ck_ps;
@@ -129,6 +130,7 @@ DimmTimingModel::earliestAct(const DramCoord &coord, Tick t) const
 Tick
 DimmTimingModel::earliestPre(const DramCoord &coord, Tick t) const
 {
+    ++n_queries;
     Tick earliest = std::max(t, cmdBusFree(coord.rank));
     earliest = std::max(earliest, ranks[coord.rank].ref_busy_until);
     for (unsigned c = 0; c < coord.chip_count; ++c)
@@ -141,6 +143,7 @@ Tick
 DimmTimingModel::earliestColumn(const DramCoord &coord, bool is_write,
                                 Tick t) const
 {
+    ++n_queries;
     const Tick ck = tp.t_ck_ps;
     Tick earliest = std::max(t, cmdBusFree(coord.rank));
     earliest = std::max(earliest, ranks[coord.rank].ref_busy_until);

@@ -118,6 +118,9 @@ class DimmTimingModel
     std::uint64_t numReadBursts() const { return n_rd; }
     std::uint64_t numWriteBursts() const { return n_wr; }
     std::uint64_t numRefreshes() const { return n_ref; }
+    /** earliestAct/earliestPre/earliestColumn calls: the host work
+     *  the scheduler spends on timing queries. */
+    std::uint64_t timingQueries() const { return n_queries; }
     /** Raw bytes moved on the data lanes (useful or not). */
     Bytes rawBytes() const { return raw_bytes; }
     /** Column-command count per chip position (Fig. 13). */
@@ -208,6 +211,7 @@ class DimmTimingModel
     std::uint64_t n_rd = 0;
     std::uint64_t n_wr = 0;
     std::uint64_t n_ref = 0;
+    mutable std::uint64_t n_queries = 0;
     Bytes raw_bytes;
     std::vector<std::uint64_t> chip_accesses;
 };

@@ -134,12 +134,9 @@ NdpModule::runStep(std::unique_ptr<PendingTask> pending)
 
     // The PE is occupied for the step's arithmetic; afterwards the
     // task either finishes, continues immediately, or parks in the
-    // incoming queue until its operands arrive. The shared holder
-    // keeps the callback copyable for std::function.
-    auto held = std::make_shared<std::unique_ptr<PendingTask>>(
-        std::move(pending));
-    eq.scheduleIn(compute, [this, step, held, tid, job]() mutable {
-        std::unique_ptr<PendingTask> pending = std::move(*held);
+    // incoming queue until its operands arrive.
+    eq.scheduleIn(compute, [this, step, pending = std::move(pending),
+                            tid, job]() mutable {
         --busy_pes;
         if (step.done) {
             BEACON_ASSERT(step.accesses.empty(),

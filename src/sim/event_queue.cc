@@ -1,5 +1,7 @@
 #include "event_queue.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 
 namespace beacon
@@ -10,82 +12,116 @@ EventQueue::schedule(Tick when, Callback cb, EventCat cat)
 {
     BEACON_ASSERT(when >= _now, "scheduling into the past: when=", when,
                   " now=", _now);
-    const EventId id = next_seq;
-    queue.push(Entry{when, next_seq, id, cat});
+    BEACON_ASSERT(cb, "scheduling an empty callback");
+    std::uint32_t slot;
+    if (free_slots.empty()) {
+        BEACON_ASSERT(slots.size() <
+                          std::numeric_limits<std::uint32_t>::max(),
+                      "event slot space exhausted");
+        slot = std::uint32_t(slots.size());
+        slots.emplace_back();
+    } else {
+        slot = free_slots.back();
+        free_slots.pop_back();
+    }
+    Slot &s = slots[slot];
+    s.cb = std::move(cb);
+    ++live;
+    queue.push(Entry{when, next_seq, slot, cat});
     ++next_seq;
-    callbacks.emplace(id, std::move(cb));
-    return id;
+    return (EventId{s.gen} << 32) | slot;
 }
 
 void
 EventQueue::cancel(EventId id)
 {
-    callbacks.erase(id);
+    if (!scheduled(id))
+        return;
+    slots[id & 0xffffffffu].cb.reset();
+    --live;
 }
 
 bool
 EventQueue::scheduled(EventId id) const
 {
-    return callbacks.count(id) != 0;
+    const std::uint64_t slot = id & 0xffffffffu;
+    return slot < slots.size() && slots[slot].gen == (id >> 32) &&
+           slots[slot].cb;
+}
+
+void
+EventQueue::releaseSlot(std::uint32_t slot)
+{
+    Slot &s = slots[slot];
+    if (++s.gen == 0)
+        s.gen = 1; // id 0 must never name a live event
+    free_slots.push_back(slot);
+}
+
+bool
+EventQueue::skipCancelled()
+{
+    while (!queue.empty()) {
+        const std::uint32_t slot = queue.top().slot;
+        if (slots[slot].cb)
+            return true;
+        queue.pop();
+        releaseSlot(slot);
+    }
+    return false;
+}
+
+void
+EventQueue::fireTop()
+{
+    const Entry top = queue.top();
+    queue.pop();
+    BEACON_ASSERT(top.when >= _now, "time went backwards");
+    // Determinism: events must leave the queue in (tick, seq) order —
+    // same-tick events run in schedule order, so a run is a pure
+    // function of the schedule calls.
+    BEACON_DCHECK(!has_executed || top.when > last_when ||
+                      (top.when == last_when && top.seq > last_seq),
+                  "tie-break order violated: event (t=", top.when,
+                  ", seq=", top.seq, ") popped after (t=", last_when,
+                  ", seq=", last_seq, ")");
+    BEACON_DCHECK(top.seq < next_seq,
+                  "executing an event that was never scheduled");
+    last_when = top.when;
+    last_seq = top.seq;
+    has_executed = true;
+    _now = top.when;
+    // Move the callback out before running it: it may schedule
+    // events, which can grow (and move) the slot vector.
+    Callback cb = std::move(slots[top.slot].cb);
+    --live;
+    releaseSlot(top.slot);
+    ++executed;
+    if (flight)
+        flight->note(top.when, top.cat);
+    if (profiler) {
+        profiler->beginEvent(top.cat, top.when);
+        cb();
+        profiler->endEvent(top.cat);
+    } else {
+        cb();
+    }
 }
 
 bool
 EventQueue::runOne()
 {
-    while (!queue.empty()) {
-        const Entry top = queue.top();
-        queue.pop();
-        auto it = callbacks.find(top.id);
-        if (it == callbacks.end())
-            continue; // cancelled
-        BEACON_ASSERT(top.when >= _now, "time went backwards");
-        // Determinism: events must leave the queue in (tick, seq)
-        // order — same-tick events run in schedule order, so a run
-        // is a pure function of the schedule calls.
-        BEACON_DCHECK(!has_executed || top.when > last_when ||
-                          (top.when == last_when &&
-                           top.seq > last_seq),
-                      "tie-break order violated: event (t=", top.when,
-                      ", seq=", top.seq,
-                      ") popped after (t=", last_when, ", seq=",
-                      last_seq, ")");
-        BEACON_DCHECK(top.seq < next_seq,
-                      "executing an event that was never scheduled");
-        last_when = top.when;
-        last_seq = top.seq;
-        has_executed = true;
-        _now = top.when;
-        Callback cb = std::move(it->second);
-        callbacks.erase(it);
-        ++executed;
-        if (flight)
-            flight->note(top.when, top.cat);
-        if (profiler) {
-            profiler->beginEvent(top.cat, top.when);
-            cb();
-            profiler->endEvent(top.cat);
-        } else {
-            cb();
-        }
-        return true;
-    }
-    return false;
+    if (!skipCancelled())
+        return false;
+    fireTop();
+    return true;
 }
 
 Tick
 EventQueue::run(Tick limit)
 {
-    while (!queue.empty()) {
-        // Skip over cancelled entries without advancing time.
-        const Entry top = queue.top();
-        if (callbacks.find(top.id) == callbacks.end()) {
-            queue.pop();
-            continue;
-        }
-        if (top.when > limit)
-            break;
-        runOne();
-    }
+    while (skipCancelled() && queue.top().when <= limit)
+        fireTop();
     return _now;
 }
 
@@ -93,7 +129,14 @@ void
 EventQueue::reset()
 {
     queue = {};
-    callbacks.clear();
+    free_slots.clear();
+    // Every slot is free again under a new generation; hand out
+    // slot 0 first, as a fresh queue does.
+    for (std::uint32_t i = std::uint32_t(slots.size()); i-- > 0;) {
+        slots[i].cb.reset();
+        releaseSlot(i);
+    }
+    live = 0;
     _now = 0;
     executed = 0;
     next_seq = 0;

@@ -5,16 +5,23 @@
  * The queue orders events by (tick, insertion sequence) so that events
  * scheduled for the same tick execute in schedule order, which keeps
  * runs deterministic.
+ *
+ * Pending callbacks live in a vector of slot records recycled through
+ * a free list, and an EventId names a slot plus its generation, so
+ * schedule, cancel and pop touch no hash table. Callbacks are the
+ * move-only, small-buffer EventCallback.
  */
 
 #ifndef BEACON_SIM_EVENT_QUEUE_HH
 #define BEACON_SIM_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
-#include <string>
-#include <unordered_map>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/units.hh"
@@ -29,8 +36,139 @@ class TraceSink;
 class RequestTrace;
 } // namespace obs
 
-/** Handle used to cancel a scheduled event. */
+/**
+ * Handle used to cancel a scheduled event: `(generation << 32) |
+ * slot`. Generations start at 1, so 0 never names a live event and
+ * components may hold (and cancel) 0 as "no event".
+ */
 using EventId = std::uint64_t;
+
+/**
+ * Move-only type-erased `void()` callable with inline storage.
+ *
+ * A callable of at most inline_capacity bytes that is pointer-aligned
+ * and nothrow-movable is stored inside the object, so scheduling it
+ * allocates nothing; the capacity is chosen to hold the DRAM
+ * completion lambda (a std::function<void(Tick)> plus its data-end
+ * tick). A larger callable is boxed on the heap behind a
+ * std::unique_ptr, which is what then lives inline. It is never
+ * copied, so captures may be move-only (e.g. std::unique_ptr).
+ */
+class EventCallback
+{
+  public:
+    static constexpr std::size_t inline_capacity = 48;
+
+    EventCallback() = default;
+
+    // Implicit, like std::function's, so call sites pass lambdas.
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, EventCallback> &&
+                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+    EventCallback(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (fitsInline<Fn>()) {
+            std::construct_at(as<Fn>(buf), std::forward<F>(f));
+            ops = &inline_ops<Fn>;
+        } else {
+            auto box = [fn = std::make_unique<Fn>(std::forward<F>(f))] {
+                (*fn)();
+            };
+            using Box = decltype(box);
+            static_assert(fitsInline<Box>());
+            std::construct_at(as<Box>(buf), std::move(box));
+            ops = &inline_ops<Box>;
+        }
+    }
+
+    EventCallback(EventCallback &&other) noexcept { take(other); }
+
+    EventCallback &
+    operator=(EventCallback &&other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            take(other);
+        }
+        return *this;
+    }
+
+    EventCallback(const EventCallback &) = delete;
+    EventCallback &operator=(const EventCallback &) = delete;
+
+    ~EventCallback() { reset(); }
+
+    /** True when a callable is held. */
+    explicit operator bool() const { return ops != nullptr; }
+
+    /** Invoke the held callable (which must exist). */
+    void operator()() { ops->invoke(buf); }
+
+    /** Destroy the held callable and its captures now. */
+    void
+    reset()
+    {
+        if (ops) {
+            ops->destroy(buf);
+            ops = nullptr;
+        }
+    }
+
+  private:
+    struct Ops
+    {
+        void (*invoke)(void *);
+        /** Move-construct into the first buffer, destroy the second. */
+        void (*relocate)(void *, void *);
+        void (*destroy)(void *);
+    };
+
+    template <typename Fn>
+    static constexpr bool
+    fitsInline()
+    {
+        return sizeof(Fn) <= inline_capacity &&
+               alignof(Fn) <= alignof(void *) &&
+               std::is_nothrow_move_constructible_v<Fn>;
+    }
+
+    /** The object of type T constructed in a buffer. */
+    template <typename T>
+    static T *
+    as(void *p)
+    {
+        return static_cast<T *>(p);
+    }
+
+    template <typename Fn>
+    static constexpr Ops inline_ops{
+        [](void *p) { (*as<Fn>(p))(); },
+        [](void *dst, void *src) {
+            std::construct_at(as<Fn>(dst), std::move(*as<Fn>(src)));
+            std::destroy_at(as<Fn>(src));
+        },
+        [](void *p) { std::destroy_at(as<Fn>(p)); },
+    };
+
+    void
+    take(EventCallback &other) noexcept
+    {
+        if (other.ops) {
+            other.ops->relocate(buf, other.buf);
+            ops = std::exchange(other.ops, nullptr);
+        }
+    }
+
+    alignas(void *) unsigned char buf[inline_capacity];
+    const Ops *ops = nullptr;
+};
+
+// The DRAM completion event ([std::function<void(Tick)>, Tick]) is
+// the one the inline capacity is sized for.
+static_assert(sizeof(std::function<void(Tick)>) + sizeof(Tick) <=
+              EventCallback::inline_capacity);
 
 /**
  * Coarse component category an event is attributed to.
@@ -116,7 +254,7 @@ class EventRecorder
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = EventCallback;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -135,7 +273,7 @@ class EventQueue
      * Number of live pending events (cancelled events excluded, even
      * while their queue entries await lazy removal).
      */
-    std::size_t pending() const { return callbacks.size(); }
+    std::size_t pending() const { return live; }
 
     /**
      * Size of the internal heap: live events plus cancelled entries
@@ -161,7 +299,10 @@ class EventQueue
         return schedule(_now + delta, std::move(cb), cat);
     }
 
-    /** Cancel a pending event; cancelling a fired event is a no-op. */
+    /**
+     * Cancel a pending event and destroy its callback now; cancelling
+     * a fired or cancelled event, or id 0, is a no-op.
+     */
     void cancel(EventId id);
 
     /** True if the event has not fired and is not cancelled. */
@@ -180,7 +321,10 @@ class EventQueue
      */
     Tick run(Tick limit = max_tick);
 
-    /** Drop all pending events and reset time to zero. */
+    /**
+     * Drop all pending events and reset time to zero. Ids issued
+     * before the reset stay stale.
+     */
     void reset();
 
     /**
@@ -216,11 +360,16 @@ class EventQueue
     void setFlightRecorder(EventRecorder *recorder) { flight = recorder; }
 
   private:
+    /**
+     * Heap entry. Each slot has at most one entry in the heap, and a
+     * slot is recycled only when that entry pops, so a cancelled
+     * entry needs no id check: its slot simply holds no callback.
+     */
     struct Entry
     {
         Tick when;
         std::uint64_t seq;
-        EventId id;
+        std::uint32_t slot;
         EventCat cat;
 
         bool
@@ -231,6 +380,27 @@ class EventQueue
             return seq > other.seq;
         }
     };
+
+    /**
+     * One pending-event record. The callback is empty once the event
+     * fired or was cancelled; the generation is bumped each time the
+     * slot is recycled, which makes every older id for it stale.
+     */
+    struct Slot
+    {
+        Callback cb;
+        std::uint32_t gen = 1;
+    };
+
+    /** Pop cancelled entries off the heap top, recycling their
+     *  slots; false when the heap is empty. */
+    bool skipCancelled();
+
+    /** Execute the (live) heap top. */
+    void fireTop();
+
+    /** Return @p slot to the free list under a new generation. */
+    void releaseSlot(std::uint32_t slot);
 
     Tick _now = 0;
     std::uint64_t next_seq = 0;
@@ -244,10 +414,10 @@ class EventQueue
     obs::TraceSink *trace_sink = nullptr;
     obs::RequestTrace *request_trace = nullptr;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    // Callbacks stored separately so Entry stays cheap to copy; an
-    // id is live (scheduled, not fired or cancelled) exactly while
-    // it has a callback here.
-    std::unordered_map<EventId, Callback> callbacks;
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> free_slots;
+    /** Slots holding a callback: scheduled, not fired or cancelled. */
+    std::size_t live = 0;
 };
 
 } // namespace beacon

@@ -101,6 +101,18 @@ TEST(DramCheckerDeathTest, ActActInsideTrrdFires)
         "tRRD_L");
 }
 
+TEST(DramCheckerDeathTest, CommandOffClockEdgeFires)
+{
+    EXPECT_DEATH(
+        {
+            DramProtocolChecker checker("dimm", geometry(), timing());
+            // Legal spacing on an empty DIMM, but half a clock past
+            // an edge: commands issue only on bus-clock edges.
+            checker.observe(act(0, 0, 7, ck(4) + timing().t_ck_ps / 2));
+        },
+        "off the bus clock");
+}
+
 TEST(DramCheckerDeathTest, FifthActInsideTfawFires)
 {
     EXPECT_DEATH(

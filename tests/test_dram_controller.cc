@@ -71,6 +71,27 @@ TEST(DramController, SingleReadCompletesWithRealisticLatency)
     EXPECT_EQ(h.ctrl->readsCompleted(), 1u);
 }
 
+TEST(DramController, IdleEdgesSkipTheScan)
+{
+    // One read to a closed bank on an idle DIMM: the controller polls
+    // every clock edge through the tRCD wait, but only three wake-ups
+    // can change the answer (ACT, then the column-ready scan, then
+    // the column itself); the edges in between must not query the
+    // timing model.
+    ControllerHarness h;
+    Tick done = 0;
+    MemRequest req = h.makeRead(0, 0, 0, 7);
+    req.on_complete = [&](Tick t) { done = t; };
+    h.ctrl->enqueue(std::move(req));
+    h.eq.run();
+    EXPECT_EQ(h.ctrl->device().numActs(), 1u);
+    EXPECT_EQ(h.ctrl->device().numReadBursts(), 1u);
+    // earliestAct (issue ACT), earliestColumn (not ready: tRCD),
+    // earliestColumn at the tRCD edge (issue RD).
+    EXPECT_EQ(h.ctrl->device().timingQueries(), 3u);
+    EXPECT_EQ(done, (h.tp.t_rcd + h.tp.t_cl + h.tp.t_bl) * h.tp.t_ck_ps);
+}
+
 TEST(DramController, AllCallbacksFireOnce)
 {
     ControllerHarness h;

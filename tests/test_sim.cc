@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "sim/clock_domain.hh"
@@ -118,6 +120,113 @@ TEST(EventQueue, ResetClearsState)
     eq.schedule(5, [&] { fired = true; });
     eq.run();
     EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, StaleIdDoesNotCancelSlotReuser)
+{
+    EventQueue eq;
+    bool first = false;
+    bool second = false;
+    const EventId a = eq.schedule(10, [&] { first = true; });
+    eq.run();
+    EXPECT_TRUE(first);
+    // The fired event's slot is recycled for the next schedule; the
+    // old id must not reach the new occupant.
+    const EventId b = eq.schedule(20, [&] { second = true; });
+    EXPECT_NE(a, b);
+    EXPECT_EQ(a & 0xffffffffu, b & 0xffffffffu);
+    EXPECT_FALSE(eq.scheduled(a));
+    eq.cancel(a);
+    EXPECT_TRUE(eq.scheduled(b));
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_TRUE(second);
+}
+
+TEST(EventQueue, CancelZeroIsNoOp)
+{
+    EventQueue eq;
+    eq.cancel(0);
+    EXPECT_FALSE(eq.scheduled(0));
+    int fired = 0;
+    const EventId a = eq.schedule(10, [&] { ++fired; });
+    EXPECT_NE(a, 0u);
+    eq.cancel(0);
+    EXPECT_TRUE(eq.scheduled(a));
+    eq.run();
+    // Slot 0 has now been recycled; 0 still names nothing.
+    const EventId b = eq.schedule(20, [&] { ++fired; });
+    EXPECT_NE(b, 0u);
+    eq.cancel(0);
+    EXPECT_TRUE(eq.scheduled(b));
+    EXPECT_FALSE(eq.scheduled(0));
+    eq.run();
+    EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueue, CancelReleasesCapturesAtOnce)
+{
+    EventQueue eq;
+    auto state = std::make_shared<int>(7);
+    const EventId id = eq.schedule(10, [state] { ++*state; });
+    EXPECT_EQ(state.use_count(), 2);
+    eq.cancel(id);
+    EXPECT_EQ(state.use_count(), 1);
+    eq.run();
+    EXPECT_EQ(*state, 7);
+}
+
+TEST(EventQueue, MoveOnlyCaptureRuns)
+{
+    EventQueue eq;
+    int seen = 0;
+    auto owned = std::make_unique<int>(42);
+    eq.schedule(5, [&seen, p = std::move(owned)] { seen = *p; });
+    // A capture too large for the inline buffer is boxed and still
+    // owns its move-only state.
+    std::array<std::uint64_t, 16> big{};
+    big[15] = 3;
+    eq.schedule(6, [&seen, big, p = std::make_unique<int>(1)] {
+        seen += int(big[15]) + *p;
+    });
+    eq.run();
+    EXPECT_EQ(seen, 46);
+}
+
+TEST(EventQueue, CancelledEntryCountsUntilPopped)
+{
+    EventQueue eq;
+    const EventId a = eq.schedule(10, [] {});
+    eq.schedule(30, [] {});
+    eq.cancel(a);
+    eq.cancel(a); // a second cancel changes nothing
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.pendingIncludingCancelled(), 2u);
+    // Running past the cancelled entry's tick pops it.
+    eq.run(20);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.pendingIncludingCancelled(), 1u);
+    eq.run();
+    EXPECT_EQ(eq.pendingIncludingCancelled(), 0u);
+}
+
+TEST(EventQueue, SameTickFifoAcrossSlotReuse)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    // Fill and drain slots so the free list hands them back in an
+    // order unlike their indices; ties must still run in schedule
+    // order.
+    std::vector<EventId> ids;
+    for (int i = 0; i < 6; ++i)
+        ids.push_back(eq.schedule(Tick(10 + i), [] {}));
+    eq.cancel(ids[1]);
+    eq.cancel(ids[4]);
+    eq.run();
+    for (int i = 0; i < 8; ++i)
+        eq.schedule(100, [&order, i] { order.push_back(i); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(EventQueue, RunOneReturnsFalseWhenEmpty)
