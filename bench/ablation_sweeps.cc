@@ -32,30 +32,35 @@ main(int argc, char **argv)
     applyBenchControls(runner, opts);
     SweepReport report = makeReport("ablation_sweeps", runner);
 
+    // Every point is a BEACON-D variant (unless stated) over the one
+    // workload, with the flag-derived telemetry.
+    const auto point = [&](const std::string &sweep,
+                           const std::string &value,
+                           const SystemParams &params,
+                           std::vector<std::string> stat_keys = {}) {
+        enqueueRunObs(runner, report.harness, opts, {sweep, value},
+                      params, workload, 0, std::move(stat_keys));
+    };
+
     const std::vector<unsigned> chip_widths = {1, 2, 4, 8, 16};
     for (unsigned chips : chip_widths) {
         SystemParams params = SystemParams::beaconD();
         params.opts.coalesce_chips = chips;
-        runner.enqueueRun(
-            {"coalescing", std::to_string(chips)}, params, workload,
-            0);
+        point("coalescing", std::to_string(chips), params);
     }
 
     const std::vector<Tick> flush_timeouts = {5, 15, 50, 200};
     for (Tick timeout_ns : flush_timeouts) {
         SystemParams params = SystemParams::beaconD();
         params.pool.packer.flush_timeout = timeout_ns * 1000;
-        runner.enqueueRun(
-            {"flush_timeout_ns", std::to_string(timeout_ns)}, params,
-            workload, 0);
+        point("flush_timeout_ns", std::to_string(timeout_ns), params);
     }
 
     const std::vector<unsigned> pe_counts = {16, 32, 64, 128, 256};
     for (unsigned pes : pe_counts) {
         SystemParams params = SystemParams::beaconD();
         params.pes_per_module = pes;
-        runner.enqueueRun({"pes_per_module", std::to_string(pes)},
-                          params, workload, 0);
+        point("pes_per_module", std::to_string(pes), params);
     }
 
     for (bool shipping : {false, true}) {
@@ -65,34 +70,30 @@ main(int argc, char **argv)
         params.opts.data_packing = true;
         params.opts.mem_access_opt = true;
         params.opts.function_shipping = shipping;
-        runner.enqueueRun({"function_shipping",
-                           shipping ? "ship-compute" : "fetch-data"},
-                          params, workload, 0);
+        point("function_shipping",
+              shipping ? "ship-compute" : "fetch-data", params);
     }
 
     for (PagePolicy policy : {PagePolicy::Open, PagePolicy::Closed}) {
         SystemParams params = SystemParams::beaconD();
         params.page_policy = policy;
-        runner.enqueueRun(
-            {"page_policy",
-             policy == PagePolicy::Open ? "open" : "closed"},
-            params, workload, 0, {"rowHits"});
+        point("page_policy",
+              policy == PagePolicy::Open ? "open" : "closed", params,
+              {"rowHits"});
     }
 
     const std::vector<unsigned> stripe_weights = {1, 3, 5, 9};
     for (unsigned weight : stripe_weights) {
         SystemParams params = SystemParams::beaconD();
         params.opts.cxlg_stripe_weight = weight;
-        runner.enqueueRun({"stripe_weight", std::to_string(weight)},
-                          params, workload, 0);
+        point("stripe_weight", std::to_string(weight), params);
     }
 
     const std::vector<unsigned> depths = {16, 64, 256, 1024};
     for (unsigned depth : depths) {
         SystemParams params = SystemParams::beaconD();
         params.max_inflight_tasks = depth;
-        runner.enqueueRun({"inflight_depth", std::to_string(depth)},
-                          params, workload, 0);
+        point("inflight_depth", std::to_string(depth), params);
     }
 
     const std::vector<SweepOutcome> outcomes = runner.run();

@@ -280,6 +280,23 @@ obsConfigFor(const BenchOptions &opts)
     return cfg;
 }
 
+/**
+ * For harnesses that build no NdpSystem (fig01, table1): a telemetry
+ * flag would observe nothing, so it is a usage error rather than a
+ * silent no-op.
+ */
+inline void
+rejectTelemetryFlags(const BenchOptions &opts, const char *prog)
+{
+    if (obsConfigFor(opts).enabled()) {
+        std::fprintf(stderr,
+                     "%s runs no accelerator machine: telemetry flags "
+                     "do not apply\n",
+                     prog);
+        benchUsage(prog);
+    }
+}
+
 /** "harness_dataset_label" with non-filename characters mapped to
  *  '-' — the deterministic per-point artefact stem. */
 inline std::string
@@ -334,25 +351,22 @@ emitObsOutputs(NdpSystem &system, const BenchOptions &opts,
 }
 
 /**
- * enqueueRun with telemetry: the machine is built with the
- * flag-derived ObsConfig and the point's artefacts are emitted
- * before the outcome is returned.
+ * The harnesses' one way to enqueue a machine run:
+ * SweepRunner::enqueueRun with the flag-derived ObsConfig, emitting
+ * the point's telemetry artefacts before the outcome is returned.
  */
 inline std::size_t
 enqueueRunObs(SweepRunner &runner, const std::string &harness,
               const BenchOptions &opts, const SweepKey &key,
               SystemParams params, const Workload &workload,
-              std::size_t tasks = 0)
+              std::size_t tasks = 0,
+              std::vector<std::string> stat_keys = {})
 {
     params.obs = obsConfigFor(opts);
-    return runner.enqueue(
-        key, [params, &workload, tasks, harness, opts,
-              key](RunContext &) {
-            SweepOutcome out;
-            NdpSystem system(params, workload);
-            out.result = system.run(tasks);
+    return runner.enqueueRun(
+        key, params, workload, tasks, std::move(stat_keys),
+        [harness, opts, key](NdpSystem &system, SweepOutcome &out) {
             emitObsOutputs(system, opts, harness, key, out);
-            return out;
         });
 }
 

@@ -19,7 +19,8 @@ namespace
 {
 
 void
-panel(SweepRunner &runner, SweepReport &report, const char *title,
+panel(SweepRunner &runner, SweepReport &report,
+      const BenchOptions &opts, const char *title,
       const Workload &workload)
 {
     // Submission order: the normalisation baseline, then the four
@@ -28,13 +29,13 @@ panel(SweepRunner &runner, SweepReport &report, const char *title,
         workload.engine() == EngineKind::GraphTraversal
             ? SystemParams::cxlVanillaD()
             : SystemParams::cxlVanillaS();
-    runner.enqueueRun({workload.name(), "baseline"}, vanilla_base,
-                      workload, 0);
+    enqueueRunObs(runner, report.harness, opts,
+                  {workload.name(), "baseline"}, vanilla_base, workload);
     for (const SystemParams &params :
          {SystemParams::cxlVanillaD(), SystemParams::cxlVanillaS(),
           SystemParams::beaconD(), SystemParams::beaconS()})
-        runner.enqueueRun({workload.name(), params.name}, params,
-                          workload, 0);
+        enqueueRunObs(runner, report.harness, opts,
+                      {workload.name(), params.name}, params, workload);
     const std::vector<SweepOutcome> outcomes = runner.run();
     if (runner.listOnly()) {
         report.add(outcomes);
@@ -77,9 +78,9 @@ main(int argc, char **argv)
     applyBenchControls(runner, opts);
     SweepReport report = makeReport("extension_apps", runner);
 
-    panel(runner, report,
+    panel(runner, report, opts,
           "graph processing: BFS over a power-law CSR graph", bfs);
-    panel(runner, report,
+    panel(runner, report, opts,
           "database searching: hash-join index probing", probe);
 
     std::printf("paper (Section V): BEACON extends to image/graph "

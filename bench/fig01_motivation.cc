@@ -14,14 +14,18 @@
 #include <cstdio>
 
 #include "accel/ddr_fabric.hh"
-#include "common/rng.hh"
+#include "bench_util.hh"
 #include "cxl/pool.hh"
 #include "dram/controller.hh"
 
 using namespace beacon;
+using namespace beacon::bench;
 
 namespace
 {
+
+/** Stat key of each point's measured useful bandwidth. */
+constexpr const char *gbps_key = "useful_gb_per_s";
 
 /** Useful GB/s of fine-grained 32 B reads inside one NDP DIMM. */
 double
@@ -68,7 +72,7 @@ interDimmDdrBandwidth()
     unsigned remaining = n;
     for (unsigned i = 0; i < n; ++i) {
         fabric.send(NodeId::dimmNode(0, 0), NodeId::dimmNode(0, 1),
-                    Bytes{32}, true,
+                    Bytes{32}, true, untenanted_id, 0,
                     [&remaining](Tick) { --remaining; });
     }
     eq.run();
@@ -89,7 +93,7 @@ interDimmCxlBandwidth()
     unsigned remaining = n;
     for (unsigned i = 0; i < n; ++i) {
         fabric.send(NodeId::dimmNode(0, 0), NodeId::dimmNode(0, 1),
-                    Bytes{32}, true,
+                    Bytes{32}, true, untenanted_id, 0,
                     [&remaining](Tick) { --remaining; });
     }
     eq.run();
@@ -99,28 +103,66 @@ interDimmCxlBandwidth()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const BenchOptions opts = parseBenchArgs(argc, argv);
+    rejectTelemetryFlags(opts, argv[0]);
+    const BenchTimer timer;
     std::printf("=== Fig. 1 / Section III: the communication "
                 "bandwidth gap ===\n\n");
-    const double intra = intraDimmBandwidth();
-    const double inter_ddr = interDimmDdrBandwidth();
-    const double inter_cxl = interDimmCxlBandwidth();
 
-    std::printf("intra-DIMM fine-grained read bandwidth  %8.2f "
-                "GB/s\n",
-                intra);
-    std::printf("inter-DIMM over one DDR channel         %8.2f "
-                "GB/s (useful payload)\n",
-                inter_ddr);
-    std::printf("inter-DIMM over one CXL link (packed)   %8.2f "
-                "GB/s (useful payload)\n\n",
-                inter_cxl);
-    std::printf("DDR gap  (intra / inter-DDR): %.1fx   "
-                "(paper quotes 12x for MEDAL)\n",
-                intra / inter_ddr);
-    std::printf("CXL gap  (intra / inter-CXL): %.1fx   "
-                "(BEACON's premise: CXL shrinks the gap)\n",
-                intra / inter_cxl);
+    SweepRunner runner;
+    applyBenchControls(runner, opts);
+    SweepReport report = makeReport("fig01_motivation", runner);
+    // Each point measures one substrate; its outcome carries the
+    // useful bandwidth under gbps_key.
+    const auto point = [&runner](const char *label,
+                                 double (*measure)()) {
+        runner.enqueue({"fine-32B", label}, [measure](RunContext &) {
+            SweepOutcome out;
+            out.stats.emplace_back(gbps_key, measure());
+            return out;
+        });
+    };
+    point("intra-dimm", intraDimmBandwidth);
+    point("ddr-channel", interDimmDdrBandwidth);
+    point("cxl-link", interDimmCxlBandwidth);
+    const std::vector<SweepOutcome> outcomes = runner.run();
+    report.add(outcomes);
+    if (runner.listOnly())
+        return 0;
+
+    const double intra = statOf(outcomes[0], gbps_key);
+    const double inter_ddr = statOf(outcomes[1], gbps_key);
+    const double inter_cxl = statOf(outcomes[2], gbps_key);
+    if (!outcomes[0].skipped) {
+        std::printf("intra-DIMM fine-grained read bandwidth  %8.2f "
+                    "GB/s\n",
+                    intra);
+    }
+    if (!outcomes[1].skipped) {
+        std::printf("inter-DIMM over one DDR channel         %8.2f "
+                    "GB/s (useful payload)\n",
+                    inter_ddr);
+    }
+    if (!outcomes[2].skipped) {
+        std::printf("inter-DIMM over one CXL link (packed)   %8.2f "
+                    "GB/s (useful payload)\n",
+                    inter_cxl);
+    }
+    std::printf("\n");
+    if (!outcomes[0].skipped && !outcomes[1].skipped) {
+        std::printf("DDR gap  (intra / inter-DDR): %.1fx   "
+                    "(paper quotes 12x for MEDAL)\n",
+                    intra / inter_ddr);
+        report.derive("ddr_gap", intra / inter_ddr);
+    }
+    if (!outcomes[0].skipped && !outcomes[2].skipped) {
+        std::printf("CXL gap  (intra / inter-CXL): %.1fx   "
+                    "(BEACON's premise: CXL shrinks the gap)\n",
+                    intra / inter_cxl);
+        report.derive("cxl_gap", intra / inter_cxl);
+    }
+    emitJson(report, opts, timer);
     return 0;
 }

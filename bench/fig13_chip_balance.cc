@@ -57,10 +57,11 @@ main(int argc, char **argv)
     SystemParams fine = SystemParams::beaconD();
     fine.opts.coalesce_chips = 1;
     fine.name = "BEACON-D (no coalescing)";
-    runner.enqueueRun({preset.name, "no-coalescing"}, fine, workload,
-                      0);
-    runner.enqueueRun({preset.name, "coalescing-8"},
-                      SystemParams::beaconD(), workload, 0);
+    enqueueRunObs(runner, report.harness, opts,
+                  {preset.name, "no-coalescing"}, fine, workload);
+    enqueueRunObs(runner, report.harness, opts,
+                  {preset.name, "coalescing-8"}, SystemParams::beaconD(),
+                  workload);
     const std::vector<SweepOutcome> outcomes = runner.run();
     if (runner.listOnly()) {
         report.add(outcomes);

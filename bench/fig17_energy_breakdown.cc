@@ -22,17 +22,20 @@ namespace
 
 void
 breakdownPanel(SweepRunner &runner, SweepReport &report,
-               const char *title,
+               const BenchOptions &opts, const char *title,
+               const char *design,
                const std::vector<LadderStep> &ladder,
                const std::vector<std::pair<std::string,
                                            const Workload *>>
                    &workloads)
 {
-    // Submission order: for each rung, every workload.
+    // Submission order: for each rung, every workload. Both panels
+    // share point keys, so the design tells their artefacts apart.
+    const std::string artefact_prefix = report.harness + "_" + design;
     for (const LadderStep &step : ladder)
         for (const auto &[name, workload] : workloads)
-            runner.enqueueRun({name, step.label}, step.params,
-                              *workload, 0);
+            enqueueRunObs(runner, artefact_prefix, opts,
+                          {name, step.label}, step.params, *workload);
     const std::vector<SweepOutcome> outcomes = runner.run();
     if (runner.listOnly()) {
         report.add(outcomes);
@@ -41,17 +44,24 @@ breakdownPanel(SweepRunner &runner, SweepReport &report,
 
     std::printf("--- %s ---\n", title);
     printHeader("step", {"comm %", "dram %", "PE %"}, 10);
-    const double n = double(workloads.size());
     for (std::size_t s = 0; s < ladder.size(); ++s) {
-        double comm = 0, dram = 0, pe = 0;
+        // Average over the workloads that ran (--filter may skip
+        // some); a step none of them ran prints no row.
+        double comm = 0, dram = 0, pe = 0, n = 0;
         for (std::size_t w = 0; w < workloads.size(); ++w) {
-            const RunResult &r =
-                outcomes[s * workloads.size() + w].result;
+            const SweepOutcome &point =
+                outcomes[s * workloads.size() + w];
+            if (point.skipped)
+                continue;
+            const RunResult &r = point.result;
+            n += 1;
             const double total = r.energy.totalPj().value();
             comm += 100.0 * r.energy.comm_pj.value() / total;
             dram += 100.0 * r.energy.dram_pj.value() / total;
             pe += 100.0 * r.energy.pe_pj.value() / total;
         }
+        if (n == 0)
+            continue;
         printRow(ladder[s].label, {comm / n, dram / n, pe / n},
                  "%.2f", 10);
         if (s == 0 || s + 1 == ladder.size())
@@ -86,10 +96,10 @@ main(int argc, char **argv)
     applyBenchControls(runner, opts);
     SweepReport report = makeReport("fig17_energy_breakdown", runner);
 
-    breakdownPanel(runner, report, "(a) BEACON-D", beaconDLadder(true),
-                   workloads);
-    breakdownPanel(runner, report, "(b) BEACON-S", beaconSLadder(true),
-                   workloads);
+    breakdownPanel(runner, report, opts, "(a) BEACON-D", "BEACON-D",
+                   beaconDLadder(true), workloads);
+    breakdownPanel(runner, report, opts, "(b) BEACON-S", "BEACON-S",
+                   beaconSLadder(true), workloads);
 
     std::printf("paper: vanilla comm share 60.68%% (D) / 52.35%% "
                 "(S); fully optimized 14.01%% / 13.17%%; compute "

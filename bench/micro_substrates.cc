@@ -68,7 +68,7 @@ BM_PoolFabricMessages(benchmark::State &state)
         for (int i = 0; i < 2048; ++i) {
             fabric.send(NodeId::dimmNode(0, i % 4),
                         NodeId::dimmNode(1, (i + 1) % 4), Bytes{32},
-                        true,
+                        true, untenanted_id, 0,
                         [&pending](Tick) { --pending; });
         }
         eq.run();

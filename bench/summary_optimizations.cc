@@ -20,17 +20,24 @@ namespace
 {
 
 void
-summary(SweepRunner &runner, SweepReport &report, const char *design,
+summary(SweepRunner &runner, SweepReport &report,
+        const BenchOptions &opts, const char *design,
         const std::vector<LadderStep> &ladder,
         const std::vector<std::pair<std::string, const Workload *>>
             &workloads)
 {
     // Submission order: per workload, vanilla then fully optimized.
+    // Both designs share point keys, so the design tells their
+    // artefacts apart.
+    const std::string artefact_prefix =
+        report.harness + "_" + design;
     for (const auto &[name, workload] : workloads) {
-        runner.enqueueRun({name, ladder.front().label},
-                          ladder.front().params, *workload, 0);
-        runner.enqueueRun({name, ladder.back().label},
-                          ladder.back().params, *workload, 0);
+        enqueueRunObs(runner, artefact_prefix, opts,
+                      {name, ladder.front().label},
+                      ladder.front().params, *workload);
+        enqueueRunObs(runner, artefact_prefix, opts,
+                      {name, ladder.back().label}, ladder.back().params,
+                      *workload);
     }
     const std::vector<SweepOutcome> outcomes = runner.run();
     if (runner.listOnly()) {
@@ -90,9 +97,9 @@ main(int argc, char **argv)
     applyBenchControls(runner, opts);
     SweepReport report = makeReport("summary_optimizations", runner);
 
-    summary(runner, report, "BEACON-D", beaconDLadder(true),
+    summary(runner, report, opts, "BEACON-D", beaconDLadder(true),
             workloads);
-    summary(runner, report, "BEACON-S", beaconSLadder(true),
+    summary(runner, report, opts, "BEACON-S", beaconSLadder(true),
             workloads);
 
     std::printf("\npaper: BEACON-D 2.21x perf / 3.70x energy, "

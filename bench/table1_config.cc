@@ -7,15 +7,26 @@
 
 #include <cstdio>
 
-#include "accel/system.hh"
+#include "bench_util.hh"
 #include "dram/timing.hh"
 
 using namespace beacon;
+using namespace beacon::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const BenchOptions opts = parseBenchArgs(argc, argv);
+    rejectTelemetryFlags(opts, argv[0]);
+    const BenchTimer timer;
     std::printf("=== Table I: experimental configuration ===\n\n");
+    // No simulation runs: there are no sweep points to list or
+    // filter, and the JSON carries the printed values as derived
+    // scalars.
+    SweepRunner runner;
+    SweepReport report = makeReport("table1_config", runner);
+    if (opts.list)
+        return 0;
 
     std::printf("CPU baseline\n");
     std::printf("  processor/freq      Xeon E5-2680 v3 / 2.50 GHz "
@@ -66,5 +77,22 @@ main()
     std::printf("  speed / timing      %.0f MT/s, %u-%u-%u\n",
                 2e6 / double(tp.t_ck_ps), tp.t_cl, tp.t_rcd,
                 tp.t_rp);
+
+    report.derive("medal.channels", medal.num_groups);
+    report.derive("medal.dimms_per_channel", medal.dimms_per_group);
+    report.derive("medal.pes_per_dimm", medal.pes_per_module);
+    report.derive("medal.ddr_channel_gbps", medal.ddr.channel_gb_per_s);
+    report.derive("beacon.switches", beacon_d.num_groups);
+    report.derive("beacon.dimms_per_switch", beacon_d.dimms_per_group);
+    report.derive("beacon_d.cxlg_dimms",
+                  double(beacon_d.cxlg_dimms.size()));
+    report.derive("beacon_d.pes_per_module", beacon_d.pes_per_module);
+    report.derive("beacon_s.pes_per_module",
+                  SystemParams::beaconS().pes_per_module);
+    report.derive("cxl.dimm_link_gbps", beacon_d.pool.dimm_link.gb_per_s);
+    report.derive("cxl.host_link_gbps", beacon_d.pool.host_link.gb_per_s);
+    report.derive("dimm.capacity_gb",
+                  double(geom.capacityBytes() >> 30));
+    emitJson(report, opts, timer);
     return 0;
 }

@@ -37,12 +37,11 @@ DdrFabric::channelBytes(unsigned channel) const
 
 void
 DdrFabric::hopChannel(unsigned channel, Bytes bytes,
-                      std::function<void()> next)
+                      EventCallback next)
 {
     const Tick done = channels.at(channel)->accept(curTick(), bytes);
     const Tick latency = p.ideal ? 0 : p.channel_latency;
-    eq.schedule(done + latency, [fn = std::move(next)] { fn(); },
-                EventCat::Cxl);
+    eq.schedule(done + latency, std::move(next), EventCat::Cxl);
 }
 
 Counter &
@@ -58,10 +57,9 @@ DdrFabric::tenantBytesStat(TenantId tenant)
 }
 
 void
-DdrFabric::sendTagged(NodeId src, NodeId dst,
-                      Bytes useful_bytes,
-                      bool /*fine_grained*/, TenantId tenant,
-                      Deliver deliver)
+DdrFabric::send(NodeId src, NodeId dst, Bytes useful_bytes,
+                bool /*fine_grained*/, TenantId tenant,
+                std::uint64_t /*job*/, Completion deliver)
 {
     BEACON_ASSERT(!src.isSwitch() && !dst.isSwitch(),
                   "DDR fabric has no switches");
@@ -70,12 +68,12 @@ DdrFabric::sendTagged(NodeId src, NodeId dst,
     tenantBytesStat(tenant) += double(useful_bytes.value());
     const Bytes wire = Bytes{
         roundUp<std::uint64_t>(useful_bytes.value(), p.granule_bytes)};
-    auto finish = [this, deliver = std::move(deliver)]() {
+    EventCallback finish = [this, deliver = std::move(deliver)]() mutable {
         deliver(curTick());
     };
 
     if (src == dst) {
-        eq.scheduleIn(0, finish, EventCat::Cxl);
+        eq.scheduleIn(0, std::move(finish), EventCat::Cxl);
         return;
     }
 

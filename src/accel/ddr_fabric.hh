@@ -50,9 +50,11 @@ class DdrFabric : public SimObject, public Fabric
     DdrFabric(const std::string &name, EventQueue &eq,
               StatRegistry &stats, const DdrFabricParams &params);
 
-    void sendTagged(NodeId src, NodeId dst,
-                    Bytes useful_bytes, bool fine_grained,
-                    TenantId tenant, Deliver deliver) override;
+    /** No packing and no request tracing: @p fine_grained and
+     *  @p job do not change what happens. */
+    void send(NodeId src, NodeId dst, Bytes useful_bytes,
+              bool fine_grained, TenantId tenant, std::uint64_t job,
+              Completion deliver) override;
 
     Bytes totalWireBytes() const override;
 
@@ -64,7 +66,7 @@ class DdrFabric : public SimObject, public Fabric
   private:
     /** One hop over a channel; @p next runs at arrival. */
     void hopChannel(unsigned channel, Bytes bytes,
-                    std::function<void()> next);
+                    EventCallback next);
 
     DdrFabricParams p;
     std::vector<std::unique_ptr<BandwidthServer>> channels;

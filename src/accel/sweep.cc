@@ -72,18 +72,21 @@ SweepRunner::enqueue(SweepKey key, JobFn fn)
 std::size_t
 SweepRunner::enqueueRun(SweepKey key, const SystemParams &params,
                         const Workload &workload, std::size_t tasks,
-                        std::vector<std::string> stat_keys)
+                        std::vector<std::string> stat_keys,
+                        AfterRunFn after_run)
 {
     return enqueue(
         std::move(key),
-        [params, &workload, tasks,
-         stat_keys = std::move(stat_keys)](RunContext &) {
+        [params, &workload, tasks, stat_keys = std::move(stat_keys),
+         after_run = std::move(after_run)](RunContext &) {
             SweepOutcome out;
             NdpSystem system(params, workload);
             out.result = system.run(tasks);
             for (const std::string &stat : stat_keys)
                 out.stats.emplace_back(
                     stat, system.stats().sumMatching(stat));
+            if (after_run)
+                after_run(system, out);
             return out;
         });
 }

@@ -97,17 +97,22 @@ class SweepRunner
     /** Enqueue an arbitrary job. @return its submission index. */
     std::size_t enqueue(SweepKey key, JobFn fn);
 
+    /** Runs on a finished machine inside its job (e.g. to emit
+     *  the run's telemetry artefacts into the outcome). */
+    using AfterRunFn = std::function<void(NdpSystem &, SweepOutcome &)>;
+
     /**
      * Enqueue one NdpSystem simulation: builds the system inside the
-     * job (own EventQueue + StatRegistry), runs @p tasks tasks, and
+     * job (own EventQueue + StatRegistry), runs @p tasks tasks,
      * extracts sumMatching() of every name in @p stat_keys from the
-     * run's registry. @p workload must outlive run() and is shared
-     * read-only across workers.
+     * run's registry, then calls @p after_run (if set). @p workload
+     * must outlive run() and is shared read-only across workers.
      */
     std::size_t enqueueRun(SweepKey key, const SystemParams &params,
                            const Workload &workload,
                            std::size_t tasks = 0,
-                           std::vector<std::string> stat_keys = {});
+                           std::vector<std::string> stat_keys = {},
+                           AfterRunFn after_run = {});
 
     /**
      * Execute every queued job and return the outcomes in submission

@@ -256,8 +256,7 @@ NdpSystem::buildMachine()
     for (unsigned part = 0; part < ndp_nodes.size(); ++part) {
         ndps.push_back(std::make_unique<NdpModule>(
             "ndp" + std::to_string(part), eq, registry, np,
-            [this, part](const AccessRequest &req,
-                         std::function<void(Tick)> cb) {
+            [this, part](const AccessRequest &req, Completion cb) {
                 issueAccess(part, req, std::move(cb));
             }));
         ndps.back()->setTaskDoneFn([this, part] {
@@ -349,9 +348,8 @@ NdpSystem::ndpNode(unsigned partition) const
 // ---------------------------------------------------------------
 
 void
-NdpSystem::localDram(unsigned dimm, const ResolvedAccess &piece,
-                     bool is_write, std::function<void(Tick)> done,
-                     std::uint64_t job)
+NdpSystem::dimmDram(unsigned index, const ResolvedAccess &piece,
+                    bool is_write, Completion done, std::uint64_t job)
 {
     MemRequest req;
     req.coord = piece.coord;
@@ -360,7 +358,7 @@ NdpSystem::localDram(unsigned dimm, const ResolvedAccess &piece,
     req.bursts = std::max(1u, piece.bursts);
     req.job = job;
     req.on_complete = std::move(done);
-    controllers.at(dimm)->enqueue(std::move(req));
+    controllers.at(index)->enqueue(std::move(req));
 }
 
 const MemoryLayout &
@@ -420,7 +418,7 @@ NdpSystem::dropTenantLayout(TenantId tenant)
 }
 
 void
-NdpSystem::stageEgress(std::function<void()> send)
+NdpSystem::stageEgress(EventCallback send)
 {
     if (egress_delay_ == 0) {
         send();
@@ -431,7 +429,7 @@ NdpSystem::stageEgress(std::function<void()> send)
 
 void
 NdpSystem::issueAccess(unsigned partition, const AccessRequest &req,
-                       std::function<void(Tick)> done)
+                       Completion done)
 {
     accountDramBytes(req.tenant, req.bytes);
     const std::vector<ResolvedAccess> pieces =
@@ -442,22 +440,25 @@ NdpSystem::issueAccess(unsigned partition, const AccessRequest &req,
         issuePiece(partition, req, pieces[0], std::move(done));
         return;
     }
-    auto remaining = std::make_shared<std::size_t>(pieces.size());
-    auto cb = std::make_shared<std::function<void(Tick)>>(
-        std::move(done));
+    // The pieces share one completion: the last to land fires it.
+    struct FanIn
+    {
+        std::size_t remaining;
+        Completion done;
+    };
+    auto fan_in =
+        std::make_shared<FanIn>(FanIn{pieces.size(), std::move(done)});
     for (const ResolvedAccess &piece : pieces) {
-        issuePiece(partition, req, piece,
-                   [remaining, cb](Tick t) {
-                       if (--*remaining == 0)
-                           (*cb)(t);
-                   });
+        issuePiece(partition, req, piece, [fan_in](Tick t) {
+            if (--fan_in->remaining == 0)
+                fan_in->done(t);
+        });
     }
 }
 
 void
 NdpSystem::issuePiece(unsigned partition, const AccessRequest &req,
-                      const ResolvedAccess &piece,
-                      std::function<void(Tick)> done)
+                      const ResolvedAccess &piece, Completion done)
 {
     if (req.is_atomic) {
         atomicAccess(partition, req, piece, std::move(done));
@@ -466,25 +467,25 @@ NdpSystem::issuePiece(unsigned partition, const AccessRequest &req,
     const NodeId src = ndpNode(partition);
     const NodeId dst = piece.node;
     const bool fine = piece.bytes < Bytes{64};
+    const std::uint64_t job = req.job;
 
     if (src == dst) {
         // BEACON-D/MEDAL local access: straight to the on-DIMM MC.
-        localDram(piece.dimm_index, piece, req.is_write,
-                  std::move(done), req.job);
+        dimmDram(piece.dimm_index, piece, req.is_write,
+                 std::move(done), job);
         return;
     }
     if (req.is_write) {
         // Command + data one way; complete at DRAM write completion.
-        auto cb = std::make_shared<std::function<void(Tick)>>(
-            std::move(done));
-        stageEgress([this, src, dst, piece, fine, job = req.job, cb] {
-            fabric->sendCtx(
-                src, dst, Bytes{16} + piece.bytes, fine,
-                untenanted_id, job,
-                [this, piece, job, cb](Tick) {
-                    localDram(piece.dimm_index, piece, true,
-                              [cb](Tick t) { (*cb)(t); }, job);
-                });
+        stageEgress([this, src, dst, piece, fine, job,
+                     done = std::move(done)]() mutable {
+            fabric->send(src, dst, Bytes{16} + piece.bytes, fine,
+                         untenanted_id, job,
+                         [this, piece, job,
+                          done = std::move(done)](Tick) mutable {
+                             dimmDram(piece.dimm_index, piece, true,
+                                      std::move(done), job);
+                         });
         });
         return;
     }
@@ -497,64 +498,65 @@ NdpSystem::issuePiece(unsigned partition, const AccessRequest &req,
                   piece.dimm_index) != p.cxlg_dimms.end();
     if (p.opts.function_shipping && target_has_ndp && fine &&
         workload) {
-        auto cb = std::make_shared<std::function<void(Tick)>>(
-            std::move(done));
         const Tick remote_compute =
             cyclesToTicks(engineStepCycles(workload->engine()),
                           pe_clock_ps);
-        stageEgress([this, src, dst, piece, remote_compute,
-                     job = req.job, cb] {
-            fabric->sendCtx(src, dst, Bytes{24}, true, untenanted_id,
-                            job, [this, src, dst, piece,
-                                  remote_compute, job, cb](Tick) {
-                localDram(piece.dimm_index, piece, false,
-                          [this, src, dst, remote_compute, job,
-                           cb](Tick) {
-                              eq.scheduleIn(remote_compute, [this, src,
-                                                             dst, job,
-                                                             cb] {
-                                  fabric->sendCtx(dst, src, Bytes{8},
-                                                  true, untenanted_id,
-                                                  job, [cb](Tick t) {
-                                                      (*cb)(t);
-                                                  });
-                              }, EventCat::Ndp);
-                          }, job);
-            });
+        stageEgress([this, src, dst, piece, remote_compute, job,
+                     done = std::move(done)]() mutable {
+            fabric->send(
+                src, dst, Bytes{24}, true, untenanted_id, job,
+                [this, src, dst, piece, remote_compute, job,
+                 done = std::move(done)](Tick) mutable {
+                    dimmDram(
+                        piece.dimm_index, piece, false,
+                        [this, src, dst, remote_compute, job,
+                         done = std::move(done)](Tick) mutable {
+                            eq.scheduleIn(
+                                remote_compute,
+                                [this, src, dst, job,
+                                 done = std::move(done)]() mutable {
+                                    fabric->send(dst, src, Bytes{8},
+                                                 true, untenanted_id,
+                                                 job, std::move(done));
+                                },
+                                EventCat::Ndp);
+                        },
+                        job);
+                });
         });
         return;
     }
     // Remote read: request message, DRAM read, data response.
-    auto cb =
-        std::make_shared<std::function<void(Tick)>>(std::move(done));
-    stageEgress([this, src, dst, piece, fine, job = req.job, cb] {
-        fabric->sendCtx(src, dst, Bytes{16}, true, untenanted_id, job,
-                        [this, src, dst, piece, fine, job, cb](Tick) {
-            localDram(piece.dimm_index, piece, false,
-                      [this, src, dst, piece, fine, job, cb](Tick) {
-                          fabric->sendCtx(dst, src,
-                                          std::max(piece.bytes,
-                                                   Bytes{1}),
-                                          fine, untenanted_id, job,
-                                          [cb](Tick t) { (*cb)(t); });
-                      }, job);
-        });
+    stageEgress([this, src, dst, piece, fine, job,
+                 done = std::move(done)]() mutable {
+        fabric->send(
+            src, dst, Bytes{16}, true, untenanted_id, job,
+            [this, src, dst, piece, fine, job,
+             done = std::move(done)](Tick) mutable {
+                dimmDram(
+                    piece.dimm_index, piece, false,
+                    [this, src, dst, piece, fine, job,
+                     done = std::move(done)](Tick) mutable {
+                        fabric->send(dst, src,
+                                     std::max(piece.bytes, Bytes{1}),
+                                     fine, untenanted_id, job,
+                                     std::move(done));
+                    },
+                    job);
+            });
     });
 }
 
 void
 NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
-                        const ResolvedAccess &piece,
-                        std::function<void(Tick)> done)
+                        const ResolvedAccess &piece, Completion done)
 {
     const NodeId src = ndpNode(partition);
     const NodeId dimm_node = piece.node;
+    const std::uint64_t job = req.job;
     // A unique key per logical word serialises racing updates.
     const std::uint64_t word_key =
         (std::uint64_t(unsigned(req.data_class)) << 56) ^ req.offset;
-
-    auto cb =
-        std::make_shared<std::function<void(Tick)>>(std::move(done));
 
     // Local RMW: the partition's own engine, no fabric involved.
     if (src == dimm_node) {
@@ -562,43 +564,43 @@ NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
             *atomic_engines.at(p.num_groups + partition);
         engine.perform(
             word_key,
-            [this, piece, job = req.job](std::function<void(Tick)> k) {
-                localDram(piece.dimm_index, piece, false,
-                          std::move(k), job);
+            [this, piece, job](Completion k) {
+                dimmDram(piece.dimm_index, piece, false, std::move(k),
+                         job);
             },
-            [this, piece, job = req.job](std::function<void(Tick)> k) {
-                localDram(piece.dimm_index, piece, true,
-                          std::move(k), job);
+            [this, piece, job](Completion k) {
+                dimmDram(piece.dimm_index, piece, true, std::move(k),
+                         job);
             },
-            [cb](Tick t) { (*cb)(t); });
+            std::move(done));
         return;
     }
 
     if (p.ddr_fabric) {
         // Ship the op to the owning DIMM's NDP module, RMW locally
         // there, acknowledge back.
-        fabric->send(src, dimm_node, Bytes{16}, true, [this, src,
-                                                       dimm_node,
-                                                piece, word_key,
-                                                job = req.job,
-                                                cb](Tick) {
-            AtomicEngine &engine = *atomic_engines.at(
-                p.num_groups + piece.dimm_index % ndps.size());
-            engine.perform(
-                word_key,
-                [this, piece, job](std::function<void(Tick)> k) {
-                    localDram(piece.dimm_index, piece, false,
-                              std::move(k), job);
-                },
-                [this, piece, job](std::function<void(Tick)> k) {
-                    localDram(piece.dimm_index, piece, true,
-                              std::move(k), job);
-                },
-                [this, src, dimm_node, cb](Tick) {
-                    fabric->send(dimm_node, src, Bytes{8}, true,
-                                 [cb](Tick t) { (*cb)(t); });
-                });
-        });
+        fabric->send(
+            src, dimm_node, Bytes{16}, true, untenanted_id, 0,
+            [this, src, dimm_node, piece, word_key, job,
+             done = std::move(done)](Tick) mutable {
+                AtomicEngine &engine = *atomic_engines.at(
+                    p.num_groups + piece.dimm_index % ndps.size());
+                engine.perform(
+                    word_key,
+                    [this, piece, job](Completion k) {
+                        dimmDram(piece.dimm_index, piece, false,
+                                 std::move(k), job);
+                    },
+                    [this, piece, job](Completion k) {
+                        dimmDram(piece.dimm_index, piece, true,
+                                 std::move(k), job);
+                    },
+                    [this, src, dimm_node,
+                     done = std::move(done)](Tick) mutable {
+                        fabric->send(dimm_node, src, Bytes{8}, true,
+                                     untenanted_id, 0, std::move(done));
+                    });
+            });
         return;
     }
 
@@ -608,51 +610,46 @@ NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
     const NodeId sw_node = NodeId::switchNode(home_sw);
     AtomicEngine &engine = *atomic_engines.at(home_sw);
 
-    auto perform = [this, sw_node, piece, word_key, src, cb,
-                    job = req.job, &engine]() {
+    auto perform = [this, sw_node, piece, word_key, src, job, &engine,
+                    done = std::move(done)]() mutable {
         const bool co_located = src == sw_node;
         engine.perform(
             word_key,
-            [this, sw_node, piece, job](std::function<void(Tick)> k) {
-                auto kk =
-                    std::make_shared<std::function<void(Tick)>>(
-                        std::move(k));
-                fabric->sendCtx(
-                    sw_node, piece.node, Bytes{8}, true,
-                    untenanted_id, job,
-                    [this, piece, sw_node, job, kk](Tick) {
-                        localDram(
+            [this, sw_node, piece, job](Completion k) {
+                fabric->send(
+                    sw_node, piece.node, Bytes{8}, true, untenanted_id,
+                    job,
+                    [this, piece, sw_node, job,
+                     k = std::move(k)](Tick) mutable {
+                        dimmDram(
                             piece.dimm_index, piece, false,
-                            [this, piece, sw_node, job, kk](Tick) {
-                                fabric->sendCtx(piece.node, sw_node,
-                                                piece.bytes, true,
-                                                untenanted_id, job,
-                                                [kk](Tick t) {
-                                                    (*kk)(t);
-                                                });
-                            }, job);
+                            [this, piece, sw_node, job,
+                             k = std::move(k)](Tick) mutable {
+                                fabric->send(piece.node, sw_node,
+                                             piece.bytes, true,
+                                             untenanted_id, job,
+                                             std::move(k));
+                            },
+                            job);
                     });
             },
-            [this, sw_node, piece, job](std::function<void(Tick)> k) {
-                auto kk =
-                    std::make_shared<std::function<void(Tick)>>(
-                        std::move(k));
-                fabric->sendCtx(sw_node, piece.node,
-                                Bytes{8} + piece.bytes, true,
-                                untenanted_id, job,
-                                [this, piece, job, kk](Tick) {
-                                    localDram(piece.dimm_index, piece,
-                                              true, [kk](Tick t) {
-                                                  (*kk)(t);
-                                              }, job);
-                                });
+            [this, sw_node, piece, job](Completion k) {
+                fabric->send(sw_node, piece.node,
+                             Bytes{8} + piece.bytes, true,
+                             untenanted_id, job,
+                             [this, piece, job,
+                              k = std::move(k)](Tick) mutable {
+                                 dimmDram(piece.dimm_index, piece,
+                                          true, std::move(k), job);
+                             });
             },
-            [this, sw_node, src, co_located, cb](Tick t) {
+            [this, sw_node, src, co_located,
+             done = std::move(done)](Tick t) mutable {
                 if (co_located) {
-                    (*cb)(t);
+                    done(t);
                 } else {
                     fabric->send(sw_node, src, Bytes{8}, true,
-                                 [cb](Tick tt) { (*cb)(tt); });
+                                 untenanted_id, 0, std::move(done));
                 }
             });
     };
@@ -660,9 +657,13 @@ NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
     if (src == sw_node) {
         perform();
     } else {
-        stageEgress([this, src, sw_node, perform] {
-            fabric->send(src, sw_node, Bytes{16}, true,
-                         [perform](Tick) { perform(); });
+        stageEgress([this, src, sw_node,
+                     perform = std::move(perform)]() mutable {
+            fabric->send(src, sw_node, Bytes{16}, true, untenanted_id,
+                         0,
+                         [perform = std::move(perform)](Tick) mutable {
+                             perform();
+                         });
         });
     }
 }
@@ -674,35 +675,8 @@ NdpSystem::atomicAccess(unsigned partition, const AccessRequest &req,
 void
 NdpSystem::pump()
 {
-    while (next_task < target_tasks) {
-        // Find a partition with room, round-robin.
-        bool found = false;
-        for (unsigned probe = 0; probe < ndps.size(); ++probe) {
-            const unsigned part =
-                (next_partition + probe) % unsigned(ndps.size());
-            if (inflight[part] < p.max_inflight_tasks) {
-                ++inflight[part];
-                next_partition = (part + 1) % unsigned(ndps.size());
-                TaskPtr task = workload->makeTask(next_task, ctx);
-                ++next_task;
-                // Input streaming: the task (read + metadata)
-                // arrives from the host before it can start.
-                auto shared_task =
-                    std::make_shared<TaskPtr>(std::move(task));
-                NdpModule *module = ndps[part].get();
-                fabric->send(NodeId::host(), ndp_nodes[part],
-                             Bytes{32}, false,
-                             [module, shared_task](Tick) {
-                                 module->submit(
-                                     std::move(*shared_task));
-                             });
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            return;
-    }
+    while (next_task < target_tasks && hasFreeSlot())
+        serveTask(workload->makeTask(next_task++, ctx), {});
 }
 
 bool
@@ -725,21 +699,18 @@ NdpSystem::serveTask(TaskPtr task, NdpModule::TaskDoneFn on_done)
             continue;
         ++inflight[part];
         next_partition = (part + 1) % unsigned(ndps.size());
+        // Input streaming: the task (read + metadata) arrives from
+        // the host, attributed to its tenant, before it can start.
         const TenantId tenant = task->tenant();
-        // Input streaming, as in pump(), but attributed to the
-        // task's tenant.
-        auto shared_task = std::make_shared<TaskPtr>(std::move(task));
-        auto shared_done =
-            std::make_shared<NdpModule::TaskDoneFn>(
-                std::move(on_done));
+        const std::uint64_t job = task->jobId();
         NdpModule *module = ndps[part].get();
-        fabric->sendCtx(
-            NodeId::host(), ndp_nodes[part], Bytes{32}, false,
-            tenant, (*shared_task)->jobId(),
-            [module, shared_task, shared_done](Tick) {
-                module->submit(std::move(*shared_task),
-                               std::move(*shared_done));
-            });
+        fabric->send(NodeId::host(), ndp_nodes[part], Bytes{32}, false,
+                     tenant, job,
+                     [module, task = std::move(task),
+                      on_done = std::move(on_done)](Tick) mutable {
+                         module->submit(std::move(task),
+                                        std::move(on_done));
+                     });
         return true;
     }
     return false;
@@ -788,7 +759,8 @@ NdpSystem::mergeFilters()
             const unsigned next = (part + round) % parts;
             ++pending;
             fabric->send(ndp_nodes[part], ndp_nodes[next],
-                         Bytes{filter_bytes}, false, on_done);
+                         Bytes{filter_bytes}, false, untenanted_id, 0,
+                         on_done);
         }
     }
     while (!done) {

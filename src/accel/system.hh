@@ -240,9 +240,11 @@ class NdpSystem
     bool hasFreeSlot() const;
 
     /**
-     * Dispatch one externally built task: input streaming from the
-     * host (tagged with the task's tenant) followed by submission to
-     * an NDP module with room. @p on_done fires at task completion.
+     * Dispatch one task: input streaming from the host (tagged with
+     * the task's tenant and job) followed by submission to an NDP
+     * module with room, chosen round-robin. @p on_done (may be
+     * empty) fires at task completion. run() feeds its workload's
+     * tasks through here too.
      * Returns false — without consuming the task's slot — when every
      * module is full.
      */
@@ -320,17 +322,14 @@ class NdpSystem
     }
 
     /**
-     * Enqueue one DRAM access on DIMM @p index (no fabric hop).
-     * Rack segment and HDM traffic lands here after its fabric
-     * delivery, exactly like the remote-read path of issuePiece().
+     * Enqueue one DRAM access on DIMM @p index (no fabric hop); @p job
+     * is the request context carried into the MemRequest (0 = none).
+     * Every NDP access reaches DRAM here, and so does rack segment
+     * and HDM traffic after its fabric delivery.
      */
-    void
-    dimmDram(unsigned index, const ResolvedAccess &piece,
-             bool is_write, std::function<void(Tick)> done,
-             std::uint64_t job = 0)
-    {
-        localDram(index, piece, is_write, std::move(done), job);
-    }
+    void dimmDram(unsigned index, const ResolvedAccess &piece,
+                  bool is_write, Completion done,
+                  std::uint64_t job = 0);
 
     /**
      * Account @p bytes of logical DRAM traffic to @p tenant and the
@@ -366,29 +365,22 @@ class NdpSystem
      * (egress_delay_) before entering the fabric. Zero delay (DDR,
      * in-switch, idealized systems) sends synchronously.
      */
-    void stageEgress(std::function<void()> send);
+    void stageEgress(EventCallback send);
 
     /** Translate + route one logical access for partition @p p. */
     void issueAccess(unsigned partition, const AccessRequest &request,
-                     std::function<void(Tick)> done);
+                     Completion done);
 
     /** Route one resolved piece. */
     void issuePiece(unsigned partition, const AccessRequest &request,
-                    const ResolvedAccess &piece,
-                    std::function<void(Tick)> done);
-
-    /** Local DRAM access on @p dimm (no fabric). @p job is the
-     *  request context carried into the MemRequest (0 = none). */
-    void localDram(unsigned dimm, const ResolvedAccess &piece,
-                   bool is_write, std::function<void(Tick)> done,
-                   std::uint64_t job = 0);
+                    const ResolvedAccess &piece, Completion done);
 
     /** Atomic RMW via the home switch's Atomic Engine. */
     void atomicAccess(unsigned partition, const AccessRequest &request,
-                      const ResolvedAccess &piece,
-                      std::function<void(Tick)> done);
+                      const ResolvedAccess &piece, Completion done);
 
-    /** Submit up to capacity from the pending task list. */
+    /** Serve workload tasks through serveTask() while tasks remain
+     *  and some module has room. */
     void pump();
 
     /** Run the event loop until @p target tasks completed. */

@@ -10,19 +10,21 @@
  *
  * The packer flushes when a flit fills or when a timeout expires
  * after the first pending payload, so packing trades a bounded
- * staging delay for bandwidth.
+ * staging delay for bandwidth. Every staged payload keeps the job id
+ * it was submitted with, so request tracing can attribute a packed
+ * flit to each job riding in it.
  */
 
 #ifndef BEACON_CXL_DATA_PACKER_HH
 #define BEACON_CXL_DATA_PACKER_HH
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "common/intmath.hh"
 #include "common/units.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
@@ -42,17 +44,23 @@ struct PackerParams
  * Batches fine-grained payloads into flits.
  *
  * The packer is transport-agnostic: when a batch is ready it hands
- * (wire_bytes, delivery callbacks) to the flush function supplied by
- * its owner, which routes the packed unit and invokes every delivery
- * callback when it arrives.
+ * (wire_bytes, staged payloads) to the flush function supplied by
+ * its owner, which routes the packed unit and fires every payload's
+ * delivery when it arrives. Each staged payload carries the job id
+ * it was submitted with, so a batch says which jobs ride in it.
  */
 class DataPacker
 {
   public:
-    using Deliver = std::function<void(Tick)>;
-    using FlushFn =
-        std::function<void(Bytes wire_bytes,
-                           std::vector<Deliver> batch)>;
+    /** One submitted payload: its delivery and its request job. */
+    struct Payload
+    {
+        Completion deliver;
+        std::uint64_t job = 0; //!< obs::RequestContext job, 0 = none
+    };
+
+    using Batch = std::vector<Payload>;
+    using FlushFn = InlineCallback<void(Bytes wire_bytes, Batch batch)>;
 
     DataPacker(EventQueue &eq, const PackerParams &params,
                FlushFn flush_fn)
@@ -60,25 +68,25 @@ class DataPacker
     {}
 
     /**
-     * Submit one payload of @p useful_bytes. Non-fine-grained
-     * payloads, or any payload when packing is disabled, are flushed
-     * immediately at full-flit granularity.
+     * Submit one payload of @p useful_bytes for @p job. Non-fine-
+     * grained payloads, or any payload when packing is disabled, are
+     * flushed immediately at full-flit granularity.
      */
     void
-    submit(Bytes useful_bytes, bool fine_grained,
-           Deliver deliver)
+    submit(Bytes useful_bytes, bool fine_grained, std::uint64_t job,
+           Completion deliver)
     {
         const Bytes framed = useful_bytes + Bytes{p.header_bytes};
         if (!p.enabled || !fine_grained) {
-            std::vector<Deliver> batch;
-            batch.push_back(std::move(deliver));
+            Batch batch;
+            batch.push_back({std::move(deliver), job});
             flush(Bytes{roundUp<std::uint64_t>(framed.value(),
                                                p.flit_bytes)},
                   std::move(batch));
             ++unpacked_messages;
             return;
         }
-        pending.push_back(std::move(deliver));
+        pending.push_back({std::move(deliver), job});
         pending_bytes += framed;
         ++packed_messages;
         if (pending_bytes >= Bytes{p.flit_bytes}) {
@@ -123,7 +131,7 @@ class DataPacker
     PackerParams p;
     FlushFn flush;
 
-    std::vector<Deliver> pending;
+    Batch pending;
     Bytes pending_bytes;
     bool timeout_armed = false;
     EventId timeout_ev = 0;

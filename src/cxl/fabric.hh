@@ -4,18 +4,20 @@
  *
  * Both the CXL pool fabric (PoolFabric) and the DDR-channel fabric
  * used by the MEDAL/NEST baselines (DdrFabric) implement this
- * interface, so the accelerator systems are fabric-agnostic.
+ * interface, so the accelerator systems are fabric-agnostic. There
+ * is one entry point, send(), which carries the tenant and the job
+ * with every message; its delivery is a move-only Completion
+ * (sim/callback.hh), so a caller may hand the fabric state it owns.
  */
 
 #ifndef BEACON_CXL_FABRIC_HH
 #define BEACON_CXL_FABRIC_HH
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 
 #include "common/units.hh"
 #include "cxl/node.hh"
+#include "sim/callback.hh"
 
 namespace beacon
 {
@@ -24,53 +26,23 @@ namespace beacon
 class Fabric
 {
   public:
-    using Deliver = std::function<void(Tick)>;
-
     virtual ~Fabric() = default;
 
     /**
      * Move @p useful_bytes from @p src to @p dst; @p deliver fires at
      * full arrival. @p fine_grained marks payloads eligible for data
-     * packing (where the fabric supports it). Traffic submitted this
-     * way is accounted to tenant 0 (untenanted).
+     * packing (where the fabric supports it). The fabric accounts
+     * @p useful_bytes to @p tenant at the injection point (tenant 0
+     * is untenanted), so multi-tenant runs can split link occupancy
+     * and communication energy by tenant. @p job is the orchestrator
+     * job the transfer serves (obs::RequestContext; 0 = none): a
+     * fabric that supports request tracing records per-hop
+     * Link/Switch component spans for it. Neither the tenant nor the
+     * job changes timing.
      */
-    void
-    send(NodeId src, NodeId dst, Bytes useful_bytes,
-         bool fine_grained, Deliver deliver)
-    {
-        sendTagged(src, dst, useful_bytes, fine_grained,
-                   untenanted_id, std::move(deliver));
-    }
-
-    /**
-     * send() with per-tenant attribution: the fabric accounts
-     * @p useful_bytes to @p tenant at the injection point, so
-     * multi-tenant runs can split link occupancy (and with it
-     * communication energy) by tenant. Timing is identical to an
-     * untagged send.
-     */
-    virtual void sendTagged(NodeId src, NodeId dst,
-                            Bytes useful_bytes,
-                            bool fine_grained, TenantId tenant,
-                            Deliver deliver) = 0;
-
-    /**
-     * sendTagged() carrying a request context: @p job is the
-     * orchestrator job this transfer serves (obs::RequestContext;
-     * 0 = none). Fabrics that support request tracing record per-hop
-     * Link/Switch component spans for the job; the default forwards
-     * to sendTagged() and drops the id. Timing and accounting are
-     * identical to sendTagged() in all cases.
-     */
-    virtual void
-    sendCtx(NodeId src, NodeId dst, Bytes useful_bytes,
-            bool fine_grained, TenantId tenant, std::uint64_t job,
-            Deliver deliver)
-    {
-        (void)job;
-        sendTagged(src, dst, useful_bytes, fine_grained, tenant,
-                   std::move(deliver));
-    }
+    virtual void send(NodeId src, NodeId dst, Bytes useful_bytes,
+                      bool fine_grained, TenantId tenant,
+                      std::uint64_t job, Completion deliver) = 0;
 
     /** Total wire bytes moved (for communication energy). */
     virtual Bytes totalWireBytes() const = 0;

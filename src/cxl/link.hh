@@ -7,7 +7,6 @@
 #define BEACON_CXL_LINK_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "check/link_checker.hh"
@@ -64,8 +63,7 @@ class CxlLink : public SimObject
      * the last byte arrives at the far end.
      */
     void
-    send(LinkDir dir, Bytes bytes,
-         std::function<void(Tick)> on_arrival)
+    send(LinkDir dir, Bytes bytes, Completion on_arrival)
     {
         BandwidthServer &server =
             dir == LinkDir::Downstream ? down : up;
@@ -95,8 +93,7 @@ class CxlLink : public SimObject
                                   "flit", busy_start, serialized,
                                   bytes.value());
         }
-        eq.schedule(arrive,
-                    [cb = std::move(on_arrival), arrive] { cb(arrive); },
+        eq.schedule(arrive, CompleteAt{std::move(on_arrival), arrive},
                     EventCat::Cxl);
     }
 

@@ -125,8 +125,7 @@ PoolFabric::packerFor(NodeId src, NodeId dst)
     if (it == packers.end()) {
         auto packer = std::make_unique<DataPacker>(
             eq, p.packer,
-            [this, src, dst](Bytes wire,
-                             std::vector<Deliver> batch) {
+            [this, src, dst](Bytes wire, DataPacker::Batch batch) {
                 routeWire(src, dst, wire, std::move(batch));
             });
         it = packers.emplace(key, std::move(packer)).first;
@@ -147,45 +146,21 @@ PoolFabric::tenantBytesStat(TenantId tenant)
 }
 
 void
-PoolFabric::sendTagged(NodeId src, NodeId dst,
-                       Bytes useful_bytes, bool fine_grained,
-                       TenantId tenant, Deliver deliver)
-{
-    sendCtx(src, dst, useful_bytes, fine_grained, tenant, 0,
-            std::move(deliver));
-}
-
-void
-PoolFabric::sendCtx(NodeId src, NodeId dst, Bytes useful_bytes,
-                    bool fine_grained, TenantId tenant,
-                    std::uint64_t job, Deliver deliver)
+PoolFabric::send(NodeId src, NodeId dst, Bytes useful_bytes,
+                 bool fine_grained, TenantId tenant, std::uint64_t job,
+                 Completion deliver)
 {
     ++stat_messages;
     stat_useful_bytes += double(useful_bytes.value());
     tenantBytesStat(tenant) += double(useful_bytes.value());
-    if (link_checker) {
+    if (link_checker)
         link_checker->onSubmit(curTick());
-        // Wrap the delivery so the checker sees the matching exit.
-        deliver = [this, inner = std::move(deliver)](Tick t) {
-            link_checker->onDeliver(t);
-            inner(t);
-        };
-    }
-    if (eq.requestTrace() != nullptr) {
-        // One FIFO entry per staged payload, popped by routeWire()
-        // per flushed Deliver — alignment holds because EVERY submit
-        // funnels through here while the trace is attached.
-        const std::uint64_t key =
-            (std::uint64_t(src.key()) << 32) | dst.key();
-        pending_jobs[key].push_back(job);
-    }
-    packerFor(src, dst).submit(useful_bytes, fine_grained,
+    packerFor(src, dst).submit(useful_bytes, fine_grained, job,
                                std::move(deliver));
 }
 
-void
-PoolFabric::hopBus(unsigned sw, Bytes bytes,
-                   std::function<void()> next)
+Tick
+PoolFabric::hopBus(unsigned sw, Bytes bytes)
 {
     const Tick depart = curTick();
     const Tick done = switches[sw].bus->accept(depart, bytes);
@@ -195,8 +170,7 @@ PoolFabric::hopBus(unsigned sw, Bytes bytes,
                                  switches[sw].bus->rateGBps(),
                                  switches[sw].bus->ideal());
     }
-    eq.schedule(done + p.switch_latency,
-                [fn = std::move(next)] { fn(); }, EventCat::Cxl);
+    return done + p.switch_latency;
 }
 
 void
@@ -227,47 +201,43 @@ PoolFabric::finalizeCheck() const
 }
 
 void
-PoolFabric::hopLink(CxlLink &link, LinkDir dir, Bytes bytes,
-                    std::function<void()> next)
+PoolFabric::deliverBatch(DataPacker::Batch &batch)
 {
-    link.send(dir, bytes, [fn = std::move(next)](Tick) { fn(); });
+    const Tick t = curTick();
+    for (DataPacker::Payload &payload : batch) {
+        if (link_checker)
+            link_checker->onDeliver(t);
+        payload.deliver(t);
+    }
 }
 
 void
 PoolFabric::routeWire(NodeId src, NodeId dst, Bytes wire,
-                      std::vector<Deliver> batch)
+                      DataPacker::Batch batch)
 {
-    // Claim this wire unit's request contexts: one FIFO entry per
-    // batched payload (see pending_jobs). Unique nonzero ids get a
-    // component span per hop below; popping happens even on the
-    // loopback path so the FIFO stays aligned.
-    std::vector<std::uint64_t> jobs;
+    if (src == dst) {
+        eq.scheduleIn(0,
+                      [this, batch = std::move(batch)]() mutable {
+                          deliverBatch(batch);
+                      },
+                      EventCat::Cxl);
+        return;
+    }
+
+    auto unit = std::make_unique<WireUnit>();
+    unit->wire = wire;
     if (eq.requestTrace() != nullptr) {
-        const std::uint64_t key =
-            (std::uint64_t(src.key()) << 32) | dst.key();
-        auto &fifo = pending_jobs[key];
-        for (std::size_t i = 0; i < batch.size() && !fifo.empty();
-             ++i) {
-            const std::uint64_t job = fifo.front();
-            fifo.pop_front();
-            if (job != 0 &&
-                std::find(jobs.begin(), jobs.end(), job) ==
-                    jobs.end()) {
-                jobs.push_back(job);
+        // Request-scoped attribution: each distinct job riding in the
+        // batch gets a component span per hop (see advance()).
+        for (const DataPacker::Payload &payload : batch) {
+            if (payload.job != 0 &&
+                std::find(unit->jobs.begin(), unit->jobs.end(),
+                          payload.job) == unit->jobs.end()) {
+                unit->jobs.push_back(payload.job);
             }
         }
     }
-
-    auto deliver_all = [this, batch = std::move(batch)]() {
-        const Tick t = curTick();
-        for (const Deliver &d : batch)
-            d(t);
-    };
-
-    if (src == dst) {
-        eq.scheduleIn(0, deliver_all, EventCat::Cxl);
-        return;
-    }
+    unit->batch = std::move(batch);
 
     const bool src_is_host = src.isHost();
     const bool dst_is_host = dst.isHost();
@@ -282,105 +252,88 @@ PoolFabric::routeWire(NodeId src, NodeId dst, Bytes wire,
                                 (!p.device_bias || ssw != dsw);
     const bool full_coherence = needs_host_hop && !p.device_bias;
 
-    // Build the ordered hop plan. Each entry reserves one resource.
-    struct Hop
-    {
-        enum class Kind { Link, Bus, Delay } kind;
-        CxlLink *link = nullptr;
-        LinkDir dir = LinkDir::Downstream;
-        unsigned sw = 0;
-        Tick delay = 0;
-    };
-    std::vector<Hop> plan;
-
+    // The ordered route; each hop reserves one resource.
+    using Hop = WireUnit::Hop;
     if (src.isDimm()) {
-        plan.push_back({Hop::Kind::Link,
-                        switches[ssw].dimm_links[src.dimm].get(),
-                        LinkDir::Upstream, 0, 0});
+        unit->push({Hop::Kind::Link, LinkDir::Upstream, 0,
+                    switches[ssw].dimm_links[src.dimm].get(), 0});
     }
     if (!src_is_host)
-        plan.push_back({Hop::Kind::Bus, nullptr, LinkDir::Upstream,
-                        ssw, 0});
+        unit->push({Hop::Kind::Bus, LinkDir::Upstream, ssw, nullptr, 0});
     if (cross_fabric || needs_host_hop) {
         if (!src_is_host) {
-            plan.push_back({Hop::Kind::Link,
-                            switches[ssw].host_link.get(),
-                            LinkDir::Upstream, 0, 0});
+            unit->push({Hop::Kind::Link, LinkDir::Upstream, 0,
+                        switches[ssw].host_link.get(), 0});
         }
         // Host processing: full coherence resolution latency when the
         // host owns the access, pure forwarding latency otherwise.
-        plan.push_back({Hop::Kind::Delay, nullptr, LinkDir::Upstream,
-                        0,
-                        full_coherence ? p.host_latency
-                                       : p.host_latency / 4});
+        unit->push({Hop::Kind::Delay, LinkDir::Upstream, 0, nullptr,
+                    full_coherence ? p.host_latency
+                                   : p.host_latency / 4});
         if (full_coherence) {
             ++host_round_trips;
             ++stat_host_round_trips;
         }
         if (!dst_is_host) {
-            plan.push_back({Hop::Kind::Link,
-                            switches[dsw].host_link.get(),
-                            LinkDir::Downstream, 0, 0});
-            plan.push_back({Hop::Kind::Bus, nullptr,
-                            LinkDir::Downstream, dsw, 0});
+            unit->push({Hop::Kind::Link, LinkDir::Downstream, 0,
+                        switches[dsw].host_link.get(), 0});
+            unit->push({Hop::Kind::Bus, LinkDir::Downstream, dsw,
+                        nullptr, 0});
         }
     }
     if (dst.isDimm()) {
-        plan.push_back({Hop::Kind::Link,
-                        switches[dsw].dimm_links[dst.dimm].get(),
-                        LinkDir::Downstream, 0, 0});
+        unit->push({Hop::Kind::Link, LinkDir::Downstream, 0,
+                    switches[dsw].dimm_links[dst.dimm].get(), 0});
     }
+    advance(std::move(unit));
+}
 
-    // Execute the plan hop by hop. The stored function must not hold
-    // a strong reference to itself (that cycle would leak the whole
-    // state machine); instead each pending continuation owns the
-    // strong reference, so the machine lives exactly as long as a
-    // hop is in flight.
-    auto plan_ptr = std::make_shared<std::vector<Hop>>(std::move(plan));
-    auto step = std::make_shared<std::function<void(std::size_t)>>();
-    std::weak_ptr<std::function<void(std::size_t)>> weak_step = step;
-    *step = [this, plan_ptr, wire, weak_step, jobs,
-             done = std::move(deliver_all)](std::size_t i) {
-        if (i >= plan_ptr->size()) {
-            done();
-            return;
+void
+PoolFabric::advance(std::unique_ptr<WireUnit> unit)
+{
+    if (unit->next > 0 && !unit->jobs.empty()) {
+        // The finished hop's full residency (queueing + serialisation
+        // + propagation) is a Link or Switch component span for every
+        // riding job; host processing counts as Switch.
+        if (obs::RequestTrace *rt = eq.requestTrace()) {
+            const obs::SpanKind kind =
+                unit->hops[unit->next - 1].kind ==
+                        WireUnit::Hop::Kind::Link
+                    ? obs::SpanKind::Link
+                    : obs::SpanKind::Switch;
+            for (const std::uint64_t job : unit->jobs)
+                rt->recordSpan(job, kind, unit->hop_start, curTick());
         }
-        const Hop &hop = (*plan_ptr)[i];
-        std::function<void()> next = [self = weak_step.lock(), i]() {
-            (*self)(i + 1);
-        };
-        if (!jobs.empty()) {
-            // Request-scoped attribution: the hop's full residency
-            // (queueing + serialisation + propagation) becomes a
-            // Link or Switch component span for every riding job.
-            const Tick hop_start = curTick();
-            const obs::SpanKind kind = hop.kind == Hop::Kind::Link
-                                           ? obs::SpanKind::Link
-                                           : obs::SpanKind::Switch;
-            next = [this, jobs, hop_start, kind,
-                    self = weak_step.lock(), i]() {
-                if (obs::RequestTrace *rt = eq.requestTrace()) {
-                    for (const std::uint64_t job : jobs) {
-                        rt->recordSpan(job, kind, hop_start,
-                                       curTick());
-                    }
-                }
-                (*self)(i + 1);
-            };
-        }
-        switch (hop.kind) {
-          case Hop::Kind::Link:
-            hopLink(*hop.link, hop.dir, wire, std::move(next));
-            break;
-          case Hop::Kind::Bus:
-            hopBus(hop.sw, wire, std::move(next));
-            break;
-          case Hop::Kind::Delay:
-            eq.scheduleIn(hop.delay, std::move(next), EventCat::Cxl);
-            break;
-        }
-    };
-    (*step)(0);
+    }
+    if (unit->next == unit->num_hops) {
+        deliverBatch(unit->batch);
+        return;
+    }
+    const WireUnit::Hop hop = unit->hops[unit->next++];
+    unit->hop_start = curTick();
+    const Bytes wire = unit->wire;
+    switch (hop.kind) {
+      case WireUnit::Hop::Kind::Link:
+        hop.link->send(hop.dir, wire,
+                       [this, unit = std::move(unit)](Tick) mutable {
+                           advance(std::move(unit));
+                       });
+        break;
+      case WireUnit::Hop::Kind::Bus:
+        eq.schedule(hopBus(hop.sw, wire),
+                    [this, unit = std::move(unit)]() mutable {
+                        advance(std::move(unit));
+                    },
+                    EventCat::Cxl);
+        break;
+      case WireUnit::Hop::Kind::Delay:
+        eq.scheduleIn(hop.delay,
+                      [this, unit = std::move(unit)]() mutable {
+                          advance(std::move(unit));
+                      },
+                      EventCat::Cxl);
+        break;
+    }
 }
 
 } // namespace beacon

@@ -16,14 +16,18 @@
  * Data Packers sit at every injection endpoint (CXL-Interface of a
  * CXLG-DIMM, Switch-Logic, host interface) and batch fine-grained
  * payloads per destination before the transfer.
+ *
+ * Each flushed batch becomes one WireUnit: a plain struct holding
+ * the planned hops (at most seven), the index of the next one, the
+ * wire bytes, the payloads and their jobs. The fabric advances it
+ * hop by hop, moving it into each hop's event as a std::unique_ptr.
  */
 
 #ifndef BEACON_CXL_POOL_HH
 #define BEACON_CXL_POOL_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -73,8 +77,6 @@ struct PoolParams
 class PoolFabric : public SimObject, public Fabric
 {
   public:
-    using Deliver = Fabric::Deliver;
-
     PoolFabric(const std::string &name, EventQueue &eq,
                StatRegistry &stats, const PoolParams &params);
 
@@ -88,25 +90,16 @@ class PoolFabric : public SimObject, public Fabric
     }
 
     /**
-     * Send @p useful_bytes from @p src to @p dst, accounted to
-     * @p tenant at the injection point. Fine-grained payloads are
-     * eligible for packing. @p deliver fires when the payload has
-     * fully arrived.
+     * Send @p useful_bytes from @p src to @p dst (see Fabric::send).
+     * The payload goes to the (src, dst) Data Packer with its job id;
+     * when a RequestTrace is attached to the event queue, every hop
+     * of the wire unit that carries it records a Link/Switch
+     * component span for each job riding in that unit. Zero extra
+     * work when request tracing is off.
      */
-    void sendTagged(NodeId src, NodeId dst,
-                    Bytes useful_bytes, bool fine_grained,
-                    TenantId tenant, Deliver deliver) override;
-
-    /**
-     * sendTagged() carrying a request context: when a RequestTrace
-     * is attached to the event queue, every hop of the routed wire
-     * unit records a Link/Switch component span for @p job (and for
-     * every other job whose payload the Data Packer batched into the
-     * same unit). Zero extra work when request tracing is off.
-     */
-    void sendCtx(NodeId src, NodeId dst, Bytes useful_bytes,
-                 bool fine_grained, TenantId tenant,
-                 std::uint64_t job, Deliver deliver) override;
+    void send(NodeId src, NodeId dst, Bytes useful_bytes,
+              bool fine_grained, TenantId tenant, std::uint64_t job,
+              Completion deliver) override;
 
     /** Bytes moved over DIMM links, host links, and switch buses. */
     Bytes dimmLinkBytes() const;
@@ -159,26 +152,61 @@ class PoolFabric : public SimObject, public Fabric
         std::unique_ptr<CxlLink> host_link;
     };
 
-    /** Route an already-packed wire unit along the physical path. */
-    void routeWire(NodeId src, NodeId dst, Bytes wire_bytes,
-                   std::vector<Deliver> batch);
+    /**
+     * One packed wire unit in flight: its route, its payloads and
+     * the jobs riding in them. advance() walks it hop by hop, and
+     * each hop's event owns the unit until the hop ends.
+     */
+    struct WireUnit
+    {
+        /** One resource on the route. */
+        struct Hop
+        {
+            enum class Kind : std::uint8_t { Link, Bus, Delay };
+            Kind kind = Kind::Delay;
+            LinkDir dir = LinkDir::Downstream; //!< Link
+            unsigned sw = 0;                   //!< Bus
+            CxlLink *link = nullptr;           //!< Link
+            Tick delay = 0;                    //!< Delay
+        };
 
-    /** Hop helpers: schedule continuation after a resource. */
-    void hopBus(unsigned sw, Bytes bytes,
-                std::function<void()> next);
-    void hopLink(CxlLink &link, LinkDir dir, Bytes bytes,
-                 std::function<void()> next);
+        /** DIMM link, bus and host link up, host processing, then
+         *  host link, bus and DIMM link down. */
+        static constexpr std::size_t max_hops = 7;
+
+        std::array<Hop, max_hops> hops;
+        std::size_t num_hops = 0;
+        std::size_t next = 0; //!< index of the next hop to start
+        Bytes wire;
+        DataPacker::Batch batch;
+        /** Distinct nonzero jobs of the batch; filled only while a
+         *  RequestTrace is attached. */
+        std::vector<std::uint64_t> jobs;
+        Tick hop_start = 0; //!< when the current hop began
+
+        void
+        push(const Hop &hop)
+        {
+            hops.at(num_hops++) = hop;
+        }
+    };
+
+    /** Plan the route of a packed batch and start walking it. */
+    void routeWire(NodeId src, NodeId dst, Bytes wire,
+                   DataPacker::Batch batch);
+
+    /** Record the spans of the hop that just ended (if any), then
+     *  start the next hop, or deliver the batch after the last. */
+    void advance(std::unique_ptr<WireUnit> unit);
+
+    /** Reserve switch @p sw's bus for @p bytes; returns when the
+     *  hop ends (transfer plus in-switch routing latency). */
+    Tick hopBus(unsigned sw, Bytes bytes);
+
+    /** Fire every payload's delivery, in submission order. */
+    void deliverBatch(DataPacker::Batch &batch);
 
     DataPacker &packerFor(NodeId src, NodeId dst);
-
-    /**
-     * Per-(src, dst) FIFO of job ids, parallel to the Data Packer's
-     * staged payloads: sendCtx() pushes one entry per submitted
-     * payload (0 = no context) and routeWire() pops one per Deliver
-     * in the flushed batch, so batching never misattributes a span.
-     * Only populated while a RequestTrace is attached.
-     */
-    std::map<std::uint64_t, std::deque<std::uint64_t>> pending_jobs;
 
     PoolParams p;
     std::vector<SwitchState> switches;

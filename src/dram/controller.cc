@@ -255,8 +255,8 @@ DramController::decideOnce()
             }
             if (done.on_complete) {
                 eq.schedule(data_end,
-                            [cb = std::move(done.on_complete),
-                             data_end] { cb(data_end); },
+                            CompleteAt{std::move(done.on_complete),
+                                       data_end},
                             EventCat::Dram);
             }
         }

@@ -7,9 +7,9 @@
 #define BEACON_DRAM_TYPES_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "common/units.hh"
+#include "sim/callback.hh"
 
 namespace beacon
 {
@@ -106,7 +106,7 @@ struct MemRequest
     /** Number of BL8 column commands needed to move the payload. */
     unsigned bursts = 1;
     /** Invoked at data-completion time. */
-    std::function<void(Tick)> on_complete;
+    Completion on_complete;
     /** Arrival time, filled in by the controller. */
     Tick enqueue_tick = 0;
     /**

@@ -15,9 +15,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 
+#include "sim/callback.hh"
 #include "sim/sim_object.hh"
 
 namespace beacon
@@ -35,8 +35,8 @@ class AtomicEngine : public SimObject
 {
   public:
     /** Owner-provided DRAM read/write path (callback at data end). */
-    using MemFn = std::function<void(std::function<void(Tick)>)>;
-    using DoneFn = std::function<void(Tick)>;
+    using MemFn = InlineCallback<void(Completion)>;
+    using DoneFn = Completion;
 
     AtomicEngine(const std::string &name, EventQueue &eq,
                  StatRegistry &stats,

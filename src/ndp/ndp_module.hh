@@ -60,9 +60,8 @@ class NdpModule : public SimObject
      * invoke the callback when the data is available / the write or
      * atomic has been acknowledged.
      */
-    using IssueFn =
-        std::function<void(const AccessRequest &request,
-                           std::function<void(Tick)> on_complete)>;
+    using IssueFn = std::function<void(const AccessRequest &request,
+                                       Completion on_complete)>;
 
     /** Called whenever a task finishes (for workload refill). */
     using TaskDoneFn = std::function<void()>;

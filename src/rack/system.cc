@@ -298,14 +298,14 @@ RackSystem::scatterHdm(const std::shared_ptr<IngressState> &st)
             const unsigned dimm = piece.target;
             const ResolvedAccess acc =
                 rackAccess(dimm, piece.dpa, piece_bytes);
-            fabric->sendCtx(
+            fabric->send(
                 NodeId::hostNode(st->host), sys->dimmNodeId(dimm),
                 piece_bytes, false, st->tenant, st->job,
                 [this, st, dimm, acc](Tick) {
                     // At the expander: commit, then ack the host.
                     sys->dimmDram(
                         dimm, acc, true, [this, st, dimm](Tick) {
-                            fabric->sendCtx(
+                            fabric->send(
                                 sys->dimmNodeId(dimm),
                                 NodeId::hostNode(st->host),
                                 Bytes{8}, false, st->tenant,
@@ -400,9 +400,9 @@ RackSystem::coherentAccess(unsigned host, TenantId tenant,
     // The block's DRAM touch is accounted at issue time; the
     // physical access runs later at the owner.
     sys->accountDramBytes(tenant, Bytes{sc.params().block_bytes});
-    fabric->sendTagged(
+    fabric->send(
         NodeId::hostNode(host), sys->dimmNodeId(sc.owner()),
-        Bytes{16}, false, tenant,
+        Bytes{16}, false, tenant, 0,
         [this, host, tenant, seg, block, is_write,
          done = std::move(done)](Tick) mutable {
             ownerHandle(host, tenant, seg, block, is_write,
@@ -458,10 +458,10 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
                 }
                 ++*c_bi_[seg];
                 const unsigned victim = actions.writeback_host;
-                fabric->sendTagged(
+                fabric->send(
                     sys->dimmNodeId(segments_[seg]->owner()),
                     NodeId::hostNode(victim), Bytes{block_bytes},
-                    false, tenant,
+                    false, tenant, 0,
                     [this, host, tenant, seg, block, victim,
                      block_bytes, done = std::move(done)](Tick) mutable {
                         // At the modifier: drop the stale copy, send the
@@ -470,10 +470,10 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
                         ++*c_inval;
                         sys->accountDramBytes(tenant,
                                               Bytes{block_bytes});
-                        fabric->sendTagged(
+                        fabric->send(
                             NodeId::hostNode(victim),
                             sys->dimmNodeId(segments_[seg]->owner()),
-                            Bytes{block_bytes}, false, tenant,
+                            Bytes{block_bytes}, false, tenant, 0,
                             [this, host, tenant, seg, block,
                              done = std::move(done)](Tick) mutable {
                                 // At the owner: commit the writeback.
@@ -515,10 +515,10 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
                 ++*c_bi_[seg];
                 const bool dirty = actions.writeback &&
                                    victim == actions.writeback_host;
-                fabric->sendTagged(
+                fabric->send(
                     sys->dimmNodeId(segments_[seg]->owner()),
                     NodeId::hostNode(victim), Bytes{block_bytes},
-                    false, tenant,
+                    false, tenant, 0,
                     [this, host, tenant, seg, block, victim, dirty,
                      block_bytes, acks, done](Tick) {
                         // At the sharer: invalidate, then ack the owner.
@@ -528,10 +528,10 @@ RackSystem::startTxn(unsigned host, TenantId tenant, std::size_t seg,
                             sys->accountDramBytes(
                                 tenant, Bytes{block_bytes});
                         }
-                        fabric->sendTagged(
+                        fabric->send(
                             NodeId::hostNode(victim),
                             sys->dimmNodeId(segments_[seg]->owner()),
-                            Bytes{8}, false, tenant,
+                            Bytes{8}, false, tenant, 0,
                             [this, host, tenant, seg, block, acks,
                              done](Tick) {
                                 // At the owner: the last ack commits
@@ -561,9 +561,9 @@ RackSystem::respond(unsigned host, TenantId tenant, std::size_t seg,
     SegmentCoherence &sc = *segments_[seg];
     const Bytes resp =
         is_write ? Bytes{8} : Bytes{sc.params().block_bytes};
-    fabric->sendTagged(
+    fabric->send(
         sys->dimmNodeId(sc.owner()), NodeId::hostNode(host), resp,
-        false, tenant,
+        false, tenant, 0,
         [this, host, seg, block, is_write,
          done = std::move(done)](Tick) mutable {
             // At the host: install and retire. The install-ack goes out
@@ -576,9 +576,9 @@ RackSystem::respond(unsigned host, TenantId tenant, std::size_t seg,
                 sc.cacheModified(host, block);
             else
                 sc.cacheShared(host, block);
-            fabric->sendTagged(
+            fabric->send(
                 NodeId::hostNode(host), sys->dimmNodeId(sc.owner()),
-                Bytes{8}, false, TenantId{},
+                Bytes{8}, false, TenantId{}, 0,
                 [this, seg, block](Tick) {
                     // At the owner: unbusy, start the next queued
                     // transaction.
@@ -758,9 +758,9 @@ RackSystem::executeHotRemove(const RackOp &op)
         *c_inval += double(sc.uncacheAll());
         sc.setOwner(new_owner);
         op_pending_acks_ += chunkCount(sc.params().bytes);
-        fabric->sendTagged(
+        fabric->send(
             NodeId::host(), sys->dimmNodeId(d), Bytes{16}, false,
-            TenantId{}, [this, i, d, new_owner](Tick) {
+            TenantId{}, 0, [this, i, d, new_owner](Tick) {
                 // At the old owner (quiescent: drained + paused).
                 segments_[i]->directoryClear();
                 chunkTransfer(d, new_owner,
@@ -784,9 +784,9 @@ RackSystem::executeHotRemove(const RackOp &op)
                  "hot-remove evacuation failed: ", err);
     for (const RegionMove &mv : moves) {
         op_pending_acks_ += chunkCount(mv.bytes);
-        fabric->sendTagged(
+        fabric->send(
             NodeId::host(), sys->dimmNodeId(d), Bytes{16}, false,
-            TenantId{}, [this, mv](Tick) {
+            TenantId{}, 0, [this, mv](Tick) {
                 chunkTransfer(mv.from, mv.to, mv.bytes);
             });
     }
@@ -826,8 +826,8 @@ RackSystem::executeRebind(const RackOp &op)
     }
     op_pending_acks_ = chunkCount(resident);
     op_done_ = [this] { completeOp(); };
-    fabric->sendTagged(NodeId::host(), sys->dimmNodeId(d), Bytes{16},
-                       false, TenantId{},
+    fabric->send(NodeId::host(), sys->dimmNodeId(d), Bytes{16},
+                       false, TenantId{}, 0,
                        [this, d, dest, resident](Tick) {
                            chunkTransfer(d, dest, resident);
                        });
@@ -847,18 +847,18 @@ RackSystem::chunkTransfer(unsigned src, unsigned dst, Bytes bytes)
         sys->dimmDram(
             src, rackAccess(src, dpa, chunk), false,
             [this, src, dst, dpa, chunk](Tick) {
-                fabric->sendTagged(
+                fabric->send(
                     sys->dimmNodeId(src), sys->dimmNodeId(dst),
-                    chunk, false, TenantId{},
+                    chunk, false, TenantId{}, 0,
                     [this, dst, dpa, chunk](Tick) {
                         // At the destination: commit, ack the manager.
                         sys->dimmDram(
                             dst, rackAccess(dst, dpa, chunk), true,
                             [this, dst, chunk](Tick) {
-                                fabric->sendTagged(
+                                fabric->send(
                                     sys->dimmNodeId(dst),
                                     NodeId::host(), Bytes{8}, false,
-                                    TenantId{}, [this, chunk](Tick) {
+                                    TenantId{}, 0, [this, chunk](Tick) {
                                         opAck(chunk);
                                     });
                             });

@@ -25,8 +25,7 @@ RackTree::RackTree(EventQueue &eq, StatRegistry &stats,
 }
 
 void
-RackTree::traverse(unsigned host, Bytes bytes,
-                   std::function<void(Tick)> done)
+RackTree::traverse(unsigned host, Bytes bytes, Completion done)
 {
     BEACON_ASSERT(host < p.hosts, "bad rack host ", host);
     hop(host, 0, bytes, std::move(done));
@@ -34,7 +33,7 @@ RackTree::traverse(unsigned host, Bytes bytes,
 
 void
 RackTree::hop(unsigned host, unsigned level, Bytes bytes,
-              std::function<void(Tick)> done)
+              Completion done)
 {
     if (level >= p.levels) {
         done(eq.now());

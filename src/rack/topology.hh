@@ -18,7 +18,6 @@
 #define BEACON_RACK_TOPOLOGY_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -71,15 +70,14 @@ class RackTree
      * byte reaches the root; with zero levels it fires immediately,
      * still from the calling event context.
      */
-    void traverse(unsigned host, Bytes bytes,
-                  std::function<void(Tick)> done);
+    void traverse(unsigned host, Bytes bytes, Completion done);
 
     /** Bytes moved over every tree link, both directions. */
     Bytes totalBytes() const;
 
   private:
     void hop(unsigned host, unsigned level, Bytes bytes,
-             std::function<void(Tick)> done);
+             Completion done);
 
     EventQueue &eq;
     RackTreeParams p;

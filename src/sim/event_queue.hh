@@ -9,7 +9,8 @@
  * Pending callbacks live in a vector of slot records recycled through
  * a free list, and an EventId names a slot plus its generation, so
  * schedule, cancel and pop touch no hash table. Callbacks are the
- * move-only, small-buffer EventCallback.
+ * move-only, small-buffer EventCallback (sim/callback.hh), whose
+ * buffer holds a memory-path Completion plus its tick.
  */
 
 #ifndef BEACON_SIM_EVENT_QUEUE_HH
@@ -18,13 +19,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/units.hh"
+#include "sim/callback.hh"
 
 namespace beacon
 {
@@ -43,132 +42,9 @@ class RequestTrace;
  */
 using EventId = std::uint64_t;
 
-/**
- * Move-only type-erased `void()` callable with inline storage.
- *
- * A callable of at most inline_capacity bytes that is pointer-aligned
- * and nothrow-movable is stored inside the object, so scheduling it
- * allocates nothing; the capacity is chosen to hold the DRAM
- * completion lambda (a std::function<void(Tick)> plus its data-end
- * tick). A larger callable is boxed on the heap behind a
- * std::unique_ptr, which is what then lives inline. It is never
- * copied, so captures may be move-only (e.g. std::unique_ptr).
- */
-class EventCallback
-{
-  public:
-    static constexpr std::size_t inline_capacity = 48;
-
-    EventCallback() = default;
-
-    // Implicit, like std::function's, so call sites pass lambdas.
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventCallback> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
-    EventCallback(F &&f)
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            std::construct_at(as<Fn>(buf), std::forward<F>(f));
-            ops = &inline_ops<Fn>;
-        } else {
-            auto box = [fn = std::make_unique<Fn>(std::forward<F>(f))] {
-                (*fn)();
-            };
-            using Box = decltype(box);
-            static_assert(fitsInline<Box>());
-            std::construct_at(as<Box>(buf), std::move(box));
-            ops = &inline_ops<Box>;
-        }
-    }
-
-    EventCallback(EventCallback &&other) noexcept { take(other); }
-
-    EventCallback &
-    operator=(EventCallback &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            take(other);
-        }
-        return *this;
-    }
-
-    EventCallback(const EventCallback &) = delete;
-    EventCallback &operator=(const EventCallback &) = delete;
-
-    ~EventCallback() { reset(); }
-
-    /** True when a callable is held. */
-    explicit operator bool() const { return ops != nullptr; }
-
-    /** Invoke the held callable (which must exist). */
-    void operator()() { ops->invoke(buf); }
-
-    /** Destroy the held callable and its captures now. */
-    void
-    reset()
-    {
-        if (ops) {
-            ops->destroy(buf);
-            ops = nullptr;
-        }
-    }
-
-  private:
-    struct Ops
-    {
-        void (*invoke)(void *);
-        /** Move-construct into the first buffer, destroy the second. */
-        void (*relocate)(void *, void *);
-        void (*destroy)(void *);
-    };
-
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= inline_capacity &&
-               alignof(Fn) <= alignof(void *) &&
-               std::is_nothrow_move_constructible_v<Fn>;
-    }
-
-    /** The object of type T constructed in a buffer. */
-    template <typename T>
-    static T *
-    as(void *p)
-    {
-        return static_cast<T *>(p);
-    }
-
-    template <typename Fn>
-    static constexpr Ops inline_ops{
-        [](void *p) { (*as<Fn>(p))(); },
-        [](void *dst, void *src) {
-            std::construct_at(as<Fn>(dst), std::move(*as<Fn>(src)));
-            std::destroy_at(as<Fn>(src));
-        },
-        [](void *p) { std::destroy_at(as<Fn>(p)); },
-    };
-
-    void
-    take(EventCallback &other) noexcept
-    {
-        if (other.ops) {
-            other.ops->relocate(buf, other.buf);
-            ops = std::exchange(other.ops, nullptr);
-        }
-    }
-
-    alignas(void *) unsigned char buf[inline_capacity];
-    const Ops *ops = nullptr;
-};
-
-// The DRAM completion event ([std::function<void(Tick)>, Tick]) is
-// the one the inline capacity is sized for.
-static_assert(sizeof(std::function<void(Tick)>) + sizeof(Tick) <=
-              EventCallback::inline_capacity);
+// The DRAM completion and link-arrival events are a CompleteAt: they
+// must store inline, so scheduling one allocates nothing.
+static_assert(EventCallback::storesInline<CompleteAt>());
 
 /**
  * Coarse component category an event is attributed to.

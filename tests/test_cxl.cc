@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cxl/bandwidth_server.hh"
 #include "cxl/data_packer.hh"
 #include "cxl/link.hh"
 #include "cxl/pool.hh"
+#include "dram/controller.hh"
+#include "obs/request_trace.hh"
 
 namespace beacon
 {
@@ -80,16 +84,15 @@ TEST(DataPacker, DisabledSendsFullFlits)
     std::uint64_t sent_bytes = 0;
     unsigned flushes = 0;
     DataPacker packer(eq, params,
-                      [&](Bytes wire,
-                          std::vector<DataPacker::Deliver> batch) {
+                      [&](Bytes wire, DataPacker::Batch batch) {
                           sent_bytes += wire.value();
                           flushes += unsigned(batch.size());
-                          for (auto &d : batch)
-                              d(eq.now());
+                          for (auto &payload : batch)
+                              payload.deliver(eq.now());
                       });
     int delivered = 0;
     for (int i = 0; i < 4; ++i)
-        packer.submit(Bytes{8}, true, [&](Tick) { ++delivered; });
+        packer.submit(Bytes{8}, true, 0, [&](Tick) { ++delivered; });
     eq.run();
     EXPECT_EQ(delivered, 4);
     EXPECT_EQ(sent_bytes, 4u * 64u); // one flit each
@@ -101,16 +104,15 @@ TEST(DataPacker, PacksFineGrainedPayloads)
     PackerParams params; // enabled, 64 B flits, 4 B headers
     std::uint64_t sent_bytes = 0;
     DataPacker packer(eq, params,
-                      [&](Bytes wire,
-                          std::vector<DataPacker::Deliver> batch) {
+                      [&](Bytes wire, DataPacker::Batch batch) {
                           sent_bytes += wire.value();
-                          for (auto &d : batch)
-                              d(eq.now());
+                          for (auto &payload : batch)
+                              payload.deliver(eq.now());
                       });
     int delivered = 0;
     // 5 x (8+4) = 60 B staged; the 6th crosses 64 B and flushes.
     for (int i = 0; i < 6; ++i)
-        packer.submit(Bytes{8}, true, [&](Tick) { ++delivered; });
+        packer.submit(Bytes{8}, true, 0, [&](Tick) { ++delivered; });
     EXPECT_EQ(delivered, 6);
     EXPECT_EQ(sent_bytes, 128u); // 72 B rounded up to 2 flits
     EXPECT_EQ(packer.packedMessages(), 6u);
@@ -122,14 +124,13 @@ TEST(DataPacker, TimeoutFlushesPartialFlit)
     PackerParams params;
     std::uint64_t sent_bytes = 0;
     DataPacker packer(eq, params,
-                      [&](Bytes wire,
-                          std::vector<DataPacker::Deliver> batch) {
+                      [&](Bytes wire, DataPacker::Batch batch) {
                           sent_bytes += wire.value();
-                          for (auto &d : batch)
-                              d(eq.now());
+                          for (auto &payload : batch)
+                              payload.deliver(eq.now());
                       });
     Tick delivered_at = 0;
-    packer.submit(Bytes{8}, true,
+    packer.submit(Bytes{8}, true, 0,
                   [&](Tick t) { delivered_at = t; });
     EXPECT_EQ(packer.pendingCount(), 1u);
     eq.run();
@@ -144,14 +145,13 @@ TEST(DataPacker, CoarsePayloadBypassesStaging)
     PackerParams params;
     std::uint64_t sent_bytes = 0;
     DataPacker packer(eq, params,
-                      [&](Bytes wire,
-                          std::vector<DataPacker::Deliver> batch) {
+                      [&](Bytes wire, DataPacker::Batch batch) {
                           sent_bytes += wire.value();
-                          for (auto &d : batch)
-                              d(eq.now());
+                          for (auto &payload : batch)
+                              payload.deliver(eq.now());
                       });
     int delivered = 0;
-    packer.submit(Bytes{256}, false, [&](Tick) { ++delivered; });
+    packer.submit(Bytes{256}, false, 0, [&](Tick) { ++delivered; });
     EXPECT_EQ(delivered, 1);
     EXPECT_EQ(sent_bytes, 320u); // 260 B framed -> 5 flits
     EXPECT_EQ(packer.unpackedMessages(), 1u);
@@ -180,7 +180,7 @@ struct PoolHarness
     roundTrip(NodeId a, NodeId b, Bytes bytes)
     {
         Tick arrive = 0;
-        fabric->send(a, b, bytes, false,
+        fabric->send(a, b, bytes, false, untenanted_id, 0,
                      [&](Tick t) { arrive = t; });
         eq.run();
         return arrive;
@@ -276,9 +276,9 @@ TEST(PoolFabric, PackingReducesWireBytes)
     const NodeId b = NodeId::dimmNode(0, 1);
     int remaining = 2 * 16;
     for (int i = 0; i < 16; ++i) {
-        packed.fabric->send(a, b, Bytes{8}, true,
+        packed.fabric->send(a, b, Bytes{8}, true, untenanted_id, 0,
                             [&](Tick) { --remaining; });
-        plain.fabric->send(a, b, Bytes{8}, true,
+        plain.fabric->send(a, b, Bytes{8}, true, untenanted_id, 0,
                            [&](Tick) { --remaining; });
     }
     packed.eq.run();
@@ -298,9 +298,9 @@ TEST(PoolFabric, PackerStreamsAreDestinationIsolated)
     int remaining = 2;
     // Two 8 B payloads to two different DIMMs: 2 flits, not 1.
     h.fabric->send(src, NodeId::dimmNode(0, 1), Bytes{8}, true,
-                   [&](Tick) { --remaining; });
+                   untenanted_id, 0, [&](Tick) { --remaining; });
     h.fabric->send(src, NodeId::dimmNode(0, 2), Bytes{8}, true,
-                   [&](Tick) { --remaining; });
+                   untenanted_id, 0, [&](Tick) { --remaining; });
     h.eq.run();
     EXPECT_EQ(remaining, 0);
     EXPECT_EQ(h.fabric->dimmLinkBytes(), Bytes{4 * 64})
@@ -314,7 +314,7 @@ TEST(PoolFabric, PackedBatchDeliversAllPayloadsTogether)
     const NodeId dst = NodeId::dimmNode(0, 1);
     std::vector<Tick> arrivals;
     for (int i = 0; i < 5; ++i) {
-        h.fabric->send(src, dst, Bytes{8}, true,
+        h.fabric->send(src, dst, Bytes{8}, true, untenanted_id, 0,
                        [&](Tick t) { arrivals.push_back(t); });
     }
     h.eq.run();
@@ -330,17 +330,16 @@ TEST(DataPacker, PartialBatchDrainsWhenQueueRuns)
     PackerParams params; // enabled, 64 B flits, 4 B headers
     std::uint64_t sent_bytes = 0;
     DataPacker packer(eq, params,
-                      [&](Bytes wire,
-                          std::vector<DataPacker::Deliver> batch) {
+                      [&](Bytes wire, DataPacker::Batch batch) {
                           sent_bytes += wire.value();
-                          for (auto &d : batch)
-                              d(eq.now());
+                          for (auto &payload : batch)
+                              payload.deliver(eq.now());
                       });
     int delivered = 0;
     // 3 x (8+4) = 36 B stay below the 64 B flit boundary, so only
     // the flush timeout can move this batch.
     for (int i = 0; i < 3; ++i)
-        packer.submit(Bytes{8}, true, [&](Tick) { ++delivered; });
+        packer.submit(Bytes{8}, true, 0, [&](Tick) { ++delivered; });
     EXPECT_EQ(packer.pendingCount(), 3u);
     eq.run();
     EXPECT_EQ(delivered, 3);
@@ -356,7 +355,7 @@ TEST(PoolFabricDeath, FinalizeCatchesStrandedPackerPayload)
     // not fire) must be flagged, not silently dropped.
     PoolHarness h(true, /*packing=*/true);
     h.fabric->send(NodeId::dimmNode(0, 0), NodeId::dimmNode(0, 1),
-                   Bytes{8}, true, [](Tick) {});
+                   Bytes{8}, true, untenanted_id, 0, [](Tick) {});
     EXPECT_DEATH(h.fabric->finalizeCheck(), "stranded");
 }
 
@@ -365,10 +364,89 @@ TEST(PoolFabric, FinalizePassesAfterQueueDrains)
     PoolHarness h(true, /*packing=*/true);
     int delivered = 0;
     h.fabric->send(NodeId::dimmNode(0, 0), NodeId::dimmNode(0, 1),
-                   Bytes{8}, true, [&](Tick) { ++delivered; });
+                   Bytes{8}, true, untenanted_id, 0,
+                   [&](Tick) { ++delivered; });
     h.eq.run();
     EXPECT_EQ(delivered, 1);
     h.fabric->finalizeCheck(); // packers drained: no panic
+}
+
+TEST(PoolFabric, PackedFlitAttributesEachRidingJobOncePerHop)
+{
+    // Four fine payloads share one flit on a cross-switch route: two
+    // of job 1, one of job 2 and one without a job. The flit's seven
+    // hops (DIMM link, bus and host link up, host forwarding, host
+    // link, bus and DIMM link down) must each give jobs 1 and 2
+    // exactly one Link or Switch span.
+    PoolHarness h(true, /*packing=*/true);
+    obs::RequestTrace rt(h.eq);
+    h.eq.setRequestTrace(&rt);
+    rt.jobBegin(1, 0);
+    rt.jobBegin(2, 0);
+    int delivered = 0;
+    for (const std::uint64_t job : {1, 2, 0, 1}) {
+        h.fabric->send(NodeId::dimmNode(0, 0), NodeId::dimmNode(1, 2),
+                       Bytes{8}, true, untenanted_id, job,
+                       [&delivered](Tick) { ++delivered; });
+    }
+    h.eq.run();
+    ASSERT_EQ(delivered, 4);
+    EXPECT_EQ(h.fabric->dimmLinkBytes(), Bytes{2 * 64})
+        << "one flit up and one down";
+    rt.jobEnd(1);
+    rt.jobEnd(2);
+
+    ASSERT_EQ(rt.records().size(), 2u);
+    const Tick staging = PackerParams{}.flush_timeout;
+    for (const obs::JobRecord &rec : rt.records()) {
+        EXPECT_EQ(rec.n_spans, 7u) << "job " << rec.job;
+        // The hops are back to back: everything after the packer's
+        // staging delay is Link or Switch time.
+        const auto comp = [&rec](obs::SpanKind kind) {
+            return rec.comp[std::size_t(kind)];
+        };
+        EXPECT_EQ(comp(obs::SpanKind::Queue), staging);
+        EXPECT_GT(comp(obs::SpanKind::Link), 0u);
+        EXPECT_GT(comp(obs::SpanKind::Switch), 0u);
+        EXPECT_EQ(comp(obs::SpanKind::Link) +
+                      comp(obs::SpanKind::Switch),
+                  rec.latency() - staging);
+    }
+}
+
+TEST(PoolFabric, CompletionOwnsMoveOnlyStateThroughHopsAndDram)
+{
+    // A completion may own move-only state: it rides a 7-hop
+    // cross-switch send, then moves on into a DRAM request.
+    PoolHarness h(true);
+    DramControllerParams dram_params;
+    dram_params.enable_refresh = false;
+    DramController ctrl("dimm", h.eq, h.stats, DimmGeometry{},
+                        DramTimingParams::ddr4_1600_22(), dram_params);
+    auto token = std::make_unique<int>(7);
+    Tick arrived = 0, dram_done = 0;
+    int seen = 0;
+    h.fabric->send(
+        NodeId::dimmNode(0, 0), NodeId::dimmNode(1, 2), Bytes{60},
+        false, untenanted_id, 0,
+        [&, token = std::move(token)](Tick t) mutable {
+            arrived = t;
+            MemRequest req;
+            req.bytes = Bytes{32};
+            req.on_complete = [&, token = std::move(token)](Tick d) {
+                dram_done = d;
+                seen = *token;
+            };
+            ctrl.enqueue(std::move(req));
+        });
+    h.eq.run();
+    EXPECT_EQ(seen, 7);
+    EXPECT_GT(arrived, 0u);
+    EXPECT_GT(dram_done, arrived);
+    // 60 B + 4 B header = one flit over each of the seven hops.
+    EXPECT_EQ(h.fabric->dimmLinkBytes(), Bytes{2 * 64});
+    EXPECT_EQ(h.fabric->switchBusBytes(), Bytes{2 * 64});
+    EXPECT_EQ(h.fabric->hostLinkBytes(), Bytes{2 * 64});
 }
 
 TEST(NodeIdTest, KeysAndStrings)

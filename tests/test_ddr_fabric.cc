@@ -34,7 +34,8 @@ struct DdrHarness
     transfer(NodeId a, NodeId b, Bytes bytes)
     {
         Tick arrive = 0;
-        fabric->send(a, b, bytes, true, [&](Tick t) { arrive = t; });
+        fabric->send(a, b, bytes, true, untenanted_id, 0,
+        [&](Tick t) { arrive = t; });
         eq.run();
         return arrive;
     }
@@ -97,9 +98,10 @@ TEST(DdrFabric, ChannelContentionSerialises)
     DdrHarness h;
     Tick first = 0, second = 0;
     h.fabric->send(NodeId::host(), NodeId::dimmNode(0, 0),
-                   Bytes{6400}, true, [&](Tick t) { first = t; });
+                   Bytes{6400}, true, untenanted_id, 0,
+                   [&](Tick t) { first = t; });
     h.fabric->send(NodeId::host(), NodeId::dimmNode(0, 1), Bytes{64},
-                   true, [&](Tick t) { second = t; });
+                   true, untenanted_id, 0, [&](Tick t) { second = t; });
     h.eq.run();
     EXPECT_GT(second, first - 30000)
         << "the second message queues behind the first";
@@ -120,7 +122,7 @@ TEST(DdrFabricDeath, SwitchNodesRejected)
     DdrHarness h;
     EXPECT_DEATH(h.fabric->send(NodeId::switchNode(0),
                                 NodeId::dimmNode(0, 0), Bytes{64},
-                                true, [](Tick) {}),
+                                true, untenanted_id, 0, [](Tick) {}),
                  "no switches");
 }
 

@@ -88,7 +88,8 @@ TEST(LatencyMath, PoolDeviceBiasPathExact)
     // + link down (2 ns + 25 ns).
     Tick arrive = 0;
     fabric.send(NodeId::dimmNode(0, 0), NodeId::dimmNode(0, 1),
-                Bytes{60}, false, [&](Tick t) { arrive = t; });
+                Bytes{60}, false, untenanted_id, 0,
+                [&](Tick t) { arrive = t; });
     eq.run();
     const Tick link_ser = transferTime(Bytes{64}, 32.0);
     const Tick bus_ser = transferTime(Bytes{64}, 256.0);
@@ -107,7 +108,8 @@ TEST(LatencyMath, PoolHostBiasAddsHostRoundTrip)
 
     Tick arrive = 0;
     fabric.send(NodeId::dimmNode(0, 0), NodeId::dimmNode(0, 1),
-                Bytes{60}, false, [&](Tick t) { arrive = t; });
+                Bytes{60}, false, untenanted_id, 0,
+                [&](Tick t) { arrive = t; });
     eq.run();
     const Tick link_ser = transferTime(Bytes{64}, 32.0);
     const Tick host_ser = transferTime(Bytes{64}, 64.0);
@@ -135,7 +137,8 @@ TEST(LatencyMath, DdrDimmToDimmExact)
 
     Tick arrive = 0;
     fabric.send(NodeId::dimmNode(2, 0), NodeId::dimmNode(2, 1),
-                Bytes{32}, true, [&](Tick t) { arrive = t; });
+                Bytes{32}, true, untenanted_id, 0,
+                [&](Tick t) { arrive = t; });
     eq.run();
     const Tick ser = transferTime(Bytes{32}, params.channel_gb_per_s);
     EXPECT_EQ(arrive, 2 * (ser + params.channel_latency) +
@@ -155,7 +158,7 @@ TEST(LatencyMath, PackerTimeoutAddsExactStagingDelay)
     // One lone fine-grained payload: waits out the flush timeout,
     // then takes the physical path as a single flit.
     fabric.send(NodeId::dimmNode(0, 0), NodeId::dimmNode(0, 1),
-                Bytes{8}, true, [&](Tick t) { arrive = t; });
+                Bytes{8}, true, untenanted_id, 0, [&](Tick t) { arrive = t; });
     eq.run();
     const Tick link_ser = transferTime(Bytes{64}, 32.0);
     const Tick bus_ser = transferTime(Bytes{64}, 256.0);

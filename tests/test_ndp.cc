@@ -69,11 +69,10 @@ struct NdpHarness
         params.max_inflight_tasks = inflight;
         module = std::make_unique<NdpModule>(
             "ndp", eq, stats, params,
-            [this](const AccessRequest &,
-                   std::function<void(Tick)> cb) {
+            [this](const AccessRequest &, Completion cb) {
                 ++issued;
                 eq.scheduleIn(access_latency,
-                              [cb = std::move(cb), this](/**/) {
+                              [cb = std::move(cb), this]() mutable {
                                   cb(eq.now());
                               });
             });
@@ -178,10 +177,11 @@ struct AtomicHarness
     AtomicEngine::MemFn
     mem()
     {
-        return [this](std::function<void(Tick)> cb) {
-            eq.scheduleIn(mem_latency, [this, cb = std::move(cb)] {
-                cb(eq.now());
-            });
+        return [this](Completion cb) {
+            eq.scheduleIn(mem_latency,
+                          [this, cb = std::move(cb)]() mutable {
+                              cb(eq.now());
+                          });
         };
     }
 };
@@ -237,14 +237,14 @@ TEST(AtomicEngine, RmwRaceYieldsSerialisedTotal)
     AtomicHarness h;
     int counter = 0;
     int snapshot = 0;
-    auto read = [&](std::function<void(Tick)> cb) {
-        h.eq.scheduleIn(h.mem_latency, [&, cb = std::move(cb)] {
+    auto read = [&](Completion cb) {
+        h.eq.scheduleIn(h.mem_latency, [&, cb = std::move(cb)]() mutable {
             snapshot = counter; // value observed by the engine
             cb(h.eq.now());
         });
     };
-    auto write = [&](std::function<void(Tick)> cb) {
-        h.eq.scheduleIn(h.mem_latency, [&, cb = std::move(cb)] {
+    auto write = [&](Completion cb) {
+        h.eq.scheduleIn(h.mem_latency, [&, cb = std::move(cb)]() mutable {
             counter = snapshot + 1;
             cb(h.eq.now());
         });
