@@ -151,8 +151,6 @@ struct BenchOptions
     std::string reqtrace_dir;
     /** SLO window-roll interval in simulated ns (0 = SLO off). */
     std::uint64_t slo_window_ns = 0;
-    /** Flight-recorder dump path ("" = recorder off). */
-    std::string flight_recorder;
     /** Emit the wall-clock JSON fields (BEACON_BENCH_JSON_NO_WALL
      *  unset or 0); see jsonIncludesWall(). */
     bool json_wall = true;
@@ -187,8 +185,7 @@ benchUsage(const char *prog)
                  "[--sample-interval-ns <n>] "
                  "[--self-profile] "
                  "[--request-trace [dir]] "
-                 "[--slo-window-ns <n>] "
-                 "[--flight-recorder [path]]\n",
+                 "[--slo-window-ns <n>]\n",
                  prog);
     std::exit(2);
 }
@@ -198,7 +195,8 @@ benchUsage(const char *prog)
  * including a malformed interval value.
  * `--trace` / `--timeseries` take an optional directory (default:
  * the current directory) and write one file per executed sweep
- * point, named from the harness and the point's dataset/label — the
+ * point, named from the harness (with the design, where a harness's
+ * panels share point keys) and the point's dataset/label — the
  * names are a pure function of the sweep, so reruns and different
  * BEACON_BENCH_JOBS values produce byte-identical artefacts.
  */
@@ -249,11 +247,6 @@ parseBenchArgs(int argc, char **argv)
             opts.reqtrace_dir = dir_operand(i);
         } else if (arg == "--slo-window-ns" && i + 1 < argc) {
             opts.slo_window_ns = interval_ns(i);
-        } else if (arg == "--flight-recorder") {
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                opts.flight_recorder = argv[++i];
-            else
-                opts.flight_recorder = "beacon-flightrec.json";
         } else {
             benchUsage(argv[0]);
         }
@@ -276,7 +269,6 @@ obsConfigFor(const BenchOptions &opts)
     cfg.self_profile = opts.self_profile;
     cfg.request_trace = !opts.reqtrace_dir.empty();
     cfg.slo_window = opts.slo_window_ns * 1000; // ns -> ps
-    cfg.flight_recorder_path = opts.flight_recorder;
     return cfg;
 }
 
@@ -491,18 +483,22 @@ ladderPanel(
     const std::vector<LadderStep> &ladder, std::size_t tasks = 0)
 {
     // Submission order per dataset: cpu, rungs..., baseline, ideal.
+    // A harness's panels share point keys, so the final design tells
+    // their artefacts apart.
     const std::size_t stride = ladder.size() + 3;
+    const std::string artefact_prefix =
+        report.harness + "_" + ladder.back().params.name;
     for (const auto &[name, workload] : datasets) {
         enqueueCpuBaseline(runner, name, *workload,
                            ladder.back().params.opts.kmc_single_pass);
         for (const LadderStep &step : ladder)
-            enqueueRunObs(runner, report.harness, opts,
+            enqueueRunObs(runner, artefact_prefix, opts,
                           {name, step.label}, step.params, *workload,
                           tasks);
-        enqueueRunObs(runner, report.harness, opts,
+        enqueueRunObs(runner, artefact_prefix, opts,
                       {name, hw_baseline.name}, hw_baseline,
                       *workload, tasks);
-        enqueueRunObs(runner, report.harness, opts,
+        enqueueRunObs(runner, artefact_prefix, opts,
                       {name, ladder.back().params.name + "-ideal"},
                       ladder.back().params.idealized(), *workload,
                       tasks);

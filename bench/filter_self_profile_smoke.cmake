@@ -1,5 +1,6 @@
 # --filter / --self-profile smoke for one harness (ctest names:
-# fig16_filter_self_profile, fig17_filter_self_profile).
+# fig16_filter_self_profile, fig17_filter_self_profile,
+# summary_optimizations_filter_self_profile).
 #
 # Runs HARNESS on the points FILTER selects with --self-profile and
 # asserts the JSON it writes:

@@ -45,11 +45,17 @@ summary(SweepRunner &runner, SweepReport &report,
         return;
     }
 
+    // Average over the workloads whose two points both ran (--filter
+    // may skip some); with none, the design reports nothing.
     std::vector<double> perf_gain, energy_gain;
     double comm_before = 0, comm_after = 0;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
-        const RunResult &vanilla = outcomes[w * 2].result;
-        const RunResult &full = outcomes[w * 2 + 1].result;
+        const SweepOutcome &vanilla_point = outcomes[w * 2];
+        const SweepOutcome &full_point = outcomes[w * 2 + 1];
+        if (vanilla_point.skipped || full_point.skipped)
+            continue;
+        const RunResult &vanilla = vanilla_point.result;
+        const RunResult &full = full_point.result;
         perf_gain.push_back(double(vanilla.ticks) /
                             double(full.ticks));
         energy_gain.push_back(vanilla.energy.totalPj().value() /
@@ -57,14 +63,16 @@ summary(SweepRunner &runner, SweepReport &report,
         comm_before += 100.0 * vanilla.energy.commFraction();
         comm_after += 100.0 * full.energy.commFraction();
     }
-    const double n = double(workloads.size());
+    report.add(outcomes);
+    if (perf_gain.empty())
+        return;
+    const double n = double(perf_gain.size());
     std::printf("%-10s perf %s, energy %s, comm share %.2f%% -> "
                 "%.2f%%\n",
                 design, formatX(geomean(perf_gain)).c_str(),
                 formatX(geomean(energy_gain)).c_str(),
                 comm_before / n, comm_after / n);
 
-    report.add(outcomes);
     report.derive(std::string(design) + " :: perf_geomean",
                   geomean(perf_gain));
     report.derive(std::string(design) + " :: energy_geomean",

@@ -151,6 +151,15 @@ void
 NdpSystem::buildMachine()
 {
     const unsigned num_dimms = p.num_groups * p.dimms_per_group;
+    // Each CXLG index names one DIMM of this machine, once.
+    for (auto it = p.cxlg_dimms.begin(); it != p.cxlg_dimms.end(); ++it) {
+        if (*it >= num_dimms)
+            BEACON_FATAL("cxlg_dimms index ", *it,
+                         " is out of range: the machine has ",
+                         num_dimms, " DIMMs");
+        if (std::find(p.cxlg_dimms.begin(), it, *it) != it)
+            BEACON_FATAL("cxlg_dimms index ", *it, " is repeated");
+    }
     auto is_cxlg = [&](unsigned dimm) {
         return std::find(p.cxlg_dimms.begin(), p.cxlg_dimms.end(),
                          dimm) != p.cxlg_dimms.end();

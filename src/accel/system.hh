@@ -107,9 +107,9 @@ struct SystemParams
 
     /**
      * Telemetry (src/obs): tracing, time-series sampling,
-     * self-profiling, request tracing, SLO monitors and the flight
-     * recorder. All off by default, which builds no obs machinery;
-     * the bench harnesses turn features on from their flags.
+     * self-profiling, request tracing and SLO monitors. All off by
+     * default, which builds no obs machinery; the bench harnesses
+     * turn features on from their flags.
      */
     obs::ObsConfig obs;
 

@@ -72,7 +72,7 @@ class DramProtocolChecker
     /** Commands observed so far. */
     std::uint64_t commandsObserved() const { return n_commands; }
 
-    /** Violations are fatal, so this is 0 unless panic is hooked. */
+    /** Violations abort the process, so a live checker reads 0. */
     std::uint64_t violations() const { return n_violations; }
 
   private:

@@ -30,32 +30,11 @@ setLogLevel(LogLevel level)
 namespace detail
 {
 
-namespace
-{
-
-// Atomic: sweep workers run machines concurrently, so one may panic
-// while another constructs/destroys an Observability bundle.
-std::atomic<PanicHook> panic_hook{nullptr};
-
-} // namespace
-
-void
-setPanicHook(PanicHook hook)
-{
-    panic_hook.store(hook, std::memory_order_release);
-}
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     std::cerr << "panic: " << msg << "\n  @ " << file << ":" << line
               << std::endl;
-    // Give the flight recorder (or any other installed hook) a
-    // chance to persist post-mortem state; swap the hook out first
-    // so a panic inside the hook aborts instead of recursing.
-    if (PanicHook hook =
-            panic_hook.exchange(nullptr, std::memory_order_acq_rel))
-        hook(msg);
     std::abort();
 }
 

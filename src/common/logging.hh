@@ -54,15 +54,6 @@ formatMessage(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 
-/**
- * Hook invoked (once, with the formatted message) before panicImpl
- * aborts. The one installer is obs::FlightRecorder::dumpAll, which
- * writes post-mortem ring dumps so CI failures reproduce with
- * context. The hook is cleared for the duration of the call, so a
- * panic raised inside the hook cannot recurse.
- */
-using PanicHook = void (*)(const std::string &msg);
-void setPanicHook(PanicHook hook);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 

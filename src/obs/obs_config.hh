@@ -15,7 +15,6 @@
 #define BEACON_OBS_OBS_CONFIG_HH
 
 #include <cstdint>
-#include <string>
 
 namespace beacon::obs
 {
@@ -52,19 +51,11 @@ struct ObsConfig
      */
     std::uint64_t slo_window = 0;
 
-    /**
-     * Post-mortem flight-recorder output path; empty disables the
-     * recorder (obs::FlightRecorder). The dump is written when a
-     * BEACON_CHECK / BEACON_ASSERT failure aborts.
-     */
-    std::string flight_recorder_path;
-
     /** True when any telemetry feature is requested. */
     bool enabled() const
     {
         return trace || sample_interval > 0 || self_profile ||
-               request_trace || slo_window > 0 ||
-               !flight_recorder_path.empty();
+               request_trace || slo_window > 0;
     }
 };
 

@@ -22,11 +22,6 @@ Observability::Observability(EventQueue &eq, const ObsConfig &cfg)
         slo_ = std::make_unique<SloMonitor>(eq, Tick(cfg.slo_window));
         slo_->start();
     }
-    if (!cfg.flight_recorder_path.empty()) {
-        flight_ =
-            std::make_unique<FlightRecorder>(cfg.flight_recorder_path);
-        eq.setFlightRecorder(flight_.get());
-    }
     if (cfg.sample_interval > 0) {
         sampler_ =
             std::make_unique<Sampler>(eq, Tick(cfg.sample_interval));
@@ -44,8 +39,6 @@ Observability::~Observability()
         eq.setTraceSink(nullptr);
     if (reqtrace_)
         eq.setRequestTrace(nullptr);
-    if (flight_)
-        eq.setFlightRecorder(nullptr);
     if (profiler_)
         eq.setProfiler(nullptr);
 }

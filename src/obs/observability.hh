@@ -14,7 +14,6 @@
 #include <memory>
 #include <string>
 
-#include "obs/flight_recorder.hh"
 #include "obs/obs_config.hh"
 #include "obs/request_trace.hh"
 #include "obs/sampler.hh"
@@ -77,7 +76,6 @@ class Observability
     std::unique_ptr<SelfProfiler> profiler_;
     std::unique_ptr<RequestTrace> reqtrace_;
     std::unique_ptr<SloMonitor> slo_;
-    std::unique_ptr<FlightRecorder> flight_;
 };
 
 } // namespace beacon::obs

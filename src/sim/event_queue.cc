@@ -97,8 +97,6 @@ EventQueue::fireTop()
     --live;
     releaseSlot(top.slot);
     ++executed;
-    if (flight)
-        flight->note(top.when, top.cat);
     if (profiler) {
         profiler->beginEvent(top.cat, top.when);
         cb();

@@ -11,6 +11,10 @@
  * schedule, cancel and pop touch no hash table. Callbacks are the
  * move-only, small-buffer EventCallback (sim/callback.hh), whose
  * buffer holds a memory-path Completion plus its tick.
+ *
+ * The queue has one per-event hook, the EventProfiler. It also
+ * carries two component pointers, the trace sink and the request
+ * trace, which components consult when they emit telemetry.
  */
 
 #ifndef BEACON_SIM_EVENT_QUEUE_HH
@@ -84,7 +88,8 @@ eventCatName(EventCat cat)
 }
 
 /**
- * Observer notified around every callback the queue executes.
+ * Observer notified around every callback the queue executes: the
+ * queue's one per-event hook.
  *
  * The sim layer defines only the interface; the implementations
  * (obs::SelfProfiler, the host-performance benchmark's layer
@@ -101,23 +106,6 @@ class EventProfiler
 
     /** Called just after the same callback returns. */
     virtual void endEvent(EventCat cat) = 0;
-};
-
-/**
- * Always-on-cheap recorder fed immediately before every executed
- * callback — the flight-recorder half of the sim layer, mirroring
- * the EventProfiler pattern: the interface lives here, the one
- * implementation (obs::FlightRecorder) in src/obs. Feeding happens
- * *before* the callback runs so the event that dies mid-callback is
- * in the dump.
- */
-class EventRecorder
-{
-  public:
-    virtual ~EventRecorder() = default;
-
-    /** Event about to execute at @p when. */
-    virtual void note(Tick when, EventCat cat) = 0;
 };
 
 /**
@@ -229,12 +217,6 @@ class EventQueue
     /** Request trace for this queue, or nullptr when off. */
     obs::RequestTrace *requestTrace() const { return request_trace; }
 
-    /**
-     * Attach (or clear) the flight recorder fed before every
-     * executed callback. Not owned.
-     */
-    void setFlightRecorder(EventRecorder *recorder) { flight = recorder; }
-
   private:
     /**
      * Heap entry. Each slot has at most one entry in the heap, and a
@@ -286,7 +268,6 @@ class EventQueue
     std::uint64_t last_seq = 0;
     bool has_executed = false;
     EventProfiler *profiler = nullptr;
-    EventRecorder *flight = nullptr;
     obs::TraceSink *trace_sink = nullptr;
     obs::RequestTrace *request_trace = nullptr;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;

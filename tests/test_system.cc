@@ -229,6 +229,28 @@ TEST(SystemBehaviour, PartitionCounts)
     EXPECT_EQ(beacon_s.numPartitions(), 2u);
 }
 
+TEST(SystemParamsDeathTest, CxlgIndexOutOfRange)
+{
+    // 2x4 machines: index 8 names no DIMM, whether or not the design
+    // builds NDP modules on its CXLG-DIMMs.
+    SystemParams d = SystemParams::beaconD();
+    d.cxlg_dimms = {0, 8};
+    EXPECT_EXIT(NdpSystem{d}, ::testing::ExitedWithCode(1),
+                "cxlg_dimms index 8 is out of range");
+    SystemParams s = SystemParams::beaconS();
+    s.cxlg_dimms = {8};
+    EXPECT_EXIT(NdpSystem{s}, ::testing::ExitedWithCode(1),
+                "cxlg_dimms index 8 is out of range");
+}
+
+TEST(SystemParamsDeathTest, CxlgIndexRepeated)
+{
+    SystemParams d = SystemParams::beaconD();
+    d.cxlg_dimms = {0, 4, 0};
+    EXPECT_EXIT(NdpSystem{d}, ::testing::ExitedWithCode(1),
+                "cxlg_dimms index 0 is repeated");
+}
+
 TEST(SystemBehaviour, StatsExposedThroughRegistry)
 {
     NdpSystem system(SystemParams::beaconD(), fmWorkload());
