@@ -149,8 +149,6 @@ struct BenchOptions
     bool self_profile = false;
     /** Directory for per-point request traces ("" = off). */
     std::string reqtrace_dir;
-    /** SLO window-roll interval in simulated ns (0 = SLO off). */
-    std::uint64_t slo_window_ns = 0;
     /** Emit the wall-clock JSON fields (BEACON_BENCH_JSON_NO_WALL
      *  unset or 0); see jsonIncludesWall(). */
     bool json_wall = true;
@@ -184,8 +182,7 @@ benchUsage(const char *prog)
                  "[--timeseries [dir]] "
                  "[--sample-interval-ns <n>] "
                  "[--self-profile] "
-                 "[--request-trace [dir]] "
-                 "[--slo-window-ns <n>]\n",
+                 "[--request-trace [dir]]\n",
                  prog);
     std::exit(2);
 }
@@ -245,8 +242,6 @@ parseBenchArgs(int argc, char **argv)
             opts.self_profile = true;
         } else if (arg == "--request-trace") {
             opts.reqtrace_dir = dir_operand(i);
-        } else if (arg == "--slo-window-ns" && i + 1 < argc) {
-            opts.slo_window_ns = interval_ns(i);
         } else {
             benchUsage(argv[0]);
         }
@@ -268,7 +263,6 @@ obsConfigFor(const BenchOptions &opts)
         cfg.sample_interval = opts.sample_interval_ns * 1000; // ->ps
     cfg.self_profile = opts.self_profile;
     cfg.request_trace = !opts.reqtrace_dir.empty();
-    cfg.slo_window = opts.slo_window_ns * 1000; // ns -> ps
     return cfg;
 }
 

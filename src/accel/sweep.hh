@@ -7,7 +7,9 @@
  * executes those points concurrently on a thread pool, each in a
  * fully isolated run context: every job constructs its own NdpSystem
  * (and with it a private EventQueue and StatRegistry) and receives a
- * private Rng stream seeded from (base seed, submission index).
+ * private Rng stream seeded from (base seed, submission index). A
+ * machine never leaves the thread that built it, and that
+ * confinement is why the machine and its registry take no locks.
  * Results are merged by submission index, so the outcome vector —
  * and any JSON serialised from it — is bit-identical to a serial run
  * regardless of the worker count.

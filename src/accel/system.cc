@@ -374,7 +374,6 @@ const MemoryLayout &
 NdpSystem::layoutFor(TenantId tenant) const
 {
     if (tenant != untenanted_id) {
-        std::shared_lock<std::shared_mutex> guard(layout_mutex);
         auto it = tenant_layouts.find(tenant);
         BEACON_ASSERT(it != tenant_layouts.end(),
                       "access from unregistered tenant ", tenant);
@@ -404,12 +403,8 @@ NdpSystem::setTenantLayout(TenantId tenant,
 {
     BEACON_ASSERT(tenant != untenanted_id,
                   "tenant 0 is the untenanted default");
-    bool known = false;
-    {
-        std::unique_lock<std::shared_mutex> guard(layout_mutex);
-        known = tenant_layouts.count(tenant) != 0;
-        tenant_layouts[tenant] = std::move(layout);
-    }
+    const bool known = tenant_layouts.count(tenant) != 0;
+    tenant_layouts[tenant] = std::move(layout);
     if (obs::Sampler *sampler = obsSampler(); sampler && !known) {
         const std::string key = std::to_string(tenant.value());
         sampler->addCounterRate("tenant" + key + ".dram_gbps",
@@ -422,7 +417,6 @@ NdpSystem::setTenantLayout(TenantId tenant,
 void
 NdpSystem::dropTenantLayout(TenantId tenant)
 {
-    std::unique_lock<std::shared_mutex> guard(layout_mutex);
     tenant_layouts.erase(tenant);
 }
 
@@ -822,7 +816,7 @@ NdpSystem::machineResult(Tick end)
 {
     // End-of-run verification: the run must leave every checker's
     // shadow model balanced.
-    if (p.checkers.any()) {
+    if (p.checkers.enabled) {
         for (const auto &ctrl : controllers)
             ctrl->finalizeCheck();
         if (pool_fabric)

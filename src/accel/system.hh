@@ -22,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -107,9 +106,9 @@ struct SystemParams
 
     /**
      * Telemetry (src/obs): tracing, time-series sampling,
-     * self-profiling, request tracing and SLO monitors. All off by
-     * default, which builds no obs machinery; the bench harnesses
-     * turn features on from their flags.
+     * self-profiling and request tracing. All off by default,
+     * which builds no obs machinery; the bench harnesses turn
+     * features on from their flags.
      */
     obs::ObsConfig obs;
 
@@ -288,13 +287,6 @@ class NdpSystem
                               : nullptr;
     }
 
-    /** Live SLO monitor, or nullptr when no SLO window is set. */
-    obs::SloMonitor *
-    obsSlo()
-    {
-        return observability_ ? observability_->slo() : nullptr;
-    }
-
     /** NDP module of a partition (per-tenant stat inspection). */
     const NdpModule &ndpModule(unsigned partition) const
     {
@@ -415,9 +407,7 @@ class NdpSystem
     std::shared_ptr<MemoryLayout> mem_layout;
     /** Topology-derived policy prototype (see placementPolicy()). */
     PlacementPolicy policy_proto;
-    /** Layouts registered by service-mode tenants, guarded by
-     *  layout_mutex. */
-    mutable std::shared_mutex layout_mutex;
+    /** Layouts registered by service-mode tenants. */
     std::map<TenantId, std::shared_ptr<MemoryLayout>> tenant_layouts;
     /** Logical bytes requested of DRAM: "system.dramBytesTotal" and
      *  its per-tenant split "system.tenant<k>.dramBytes"

@@ -24,13 +24,6 @@ struct CheckerConfig
     /** Arm every checker. */
     bool enabled = false;
 
-    /** True when the checkers are armed. */
-    bool
-    any() const
-    {
-        return enabled;
-    }
-
     /** Every checker enabled. */
     static CheckerConfig
     all()

@@ -45,17 +45,11 @@ struct ObsConfig
      */
     bool request_trace = false;
 
-    /**
-     * SLO window-roll interval in ticks (picoseconds); 0 disables
-     * the per-tenant live SLO monitor (obs::SloMonitor).
-     */
-    std::uint64_t slo_window = 0;
-
     /** True when any telemetry feature is requested. */
     bool enabled() const
     {
         return trace || sample_interval > 0 || self_profile ||
-               request_trace || slo_window > 0;
+               request_trace;
     }
 };
 

@@ -18,10 +18,6 @@ Observability::Observability(EventQueue &eq, const ObsConfig &cfg)
         reqtrace_ = std::make_unique<RequestTrace>(eq);
         eq.setRequestTrace(reqtrace_.get());
     }
-    if (cfg.slo_window > 0) {
-        slo_ = std::make_unique<SloMonitor>(eq, Tick(cfg.slo_window));
-        slo_->start();
-    }
     if (cfg.sample_interval > 0) {
         sampler_ =
             std::make_unique<Sampler>(eq, Tick(cfg.sample_interval));
@@ -54,8 +50,6 @@ Observability::finish()
 {
     if (sampler_)
         sampler_->finish();
-    if (slo_)
-        slo_->finish();
 }
 
 bool

@@ -18,7 +18,6 @@
 #include "obs/request_trace.hh"
 #include "obs/sampler.hh"
 #include "obs/self_profile.hh"
-#include "obs/slo.hh"
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
 
@@ -42,9 +41,6 @@ class Observability
 
     /** Request trace, or nullptr when request tracing is off. */
     RequestTrace *requestTrace() { return reqtrace_.get(); }
-
-    /** SLO monitor, or nullptr when no SLO window is configured. */
-    SloMonitor *slo() { return slo_.get(); }
 
     bool selfProfiling() const { return profiler_ != nullptr; }
 
@@ -75,7 +71,6 @@ class Observability
     std::unique_ptr<Sampler> sampler_;
     std::unique_ptr<SelfProfiler> profiler_;
     std::unique_ptr<RequestTrace> reqtrace_;
-    std::unique_ptr<SloMonitor> slo_;
 };
 
 } // namespace beacon::obs

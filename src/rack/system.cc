@@ -966,7 +966,7 @@ RackSystem::run()
     for (auto &host : hosts_)
         report.hosts.push_back(host->collectReport(report.machine));
 
-    if (mp.checkers.any())
+    if (mp.checkers.enabled)
         verifyRackConservation();
 
     const StatRegistry &reg = sys->stats();

@@ -68,8 +68,8 @@ struct TenantSpec
     /**
      * Latency SLO target for one job, in milliseconds; 0 disables
      * SLO accounting for the tenant. Jobs completing above the
-     * target count as breaches in the live SLO monitor
-     * (obs::SloMonitor) and the per-tenant burn-rate series.
+     * target count as breaches in the tenant's report
+     * (TenantReport::slo_breaches / slo_burn).
      */
     double slo_ms = 0;
     ArrivalProcess arrival;

@@ -7,7 +7,6 @@
 #include "common/rng.hh"
 #include "obs/request_trace.hh"
 #include "obs/sampler.hh"
-#include "obs/slo.hh"
 
 namespace beacon
 {
@@ -43,8 +42,7 @@ PoolOrchestrator::PoolOrchestrator(NdpSystem &sys,
                                    const OrchestratorParams &params)
     : system(sys), p(params), scheduler(makeScheduler(p.scheduler)),
       trace(sys.eventQueue().traceSink()),
-      reqtrace(sys.eventQueue().requestTrace()),
-      slo(sys.obsSlo())
+      reqtrace(sys.eventQueue().requestTrace())
 {
 }
 
@@ -109,11 +107,6 @@ PoolOrchestrator::addTenant(const TenantSpec &spec)
         "service." + tag + ".jobLatencyMs");
     if (trace)
         state.track = trace->track(tag);
-    if (slo) {
-        // ms -> ps; slo_ms == 0 keeps target 0 (never breaches).
-        state.slo_idx = slo->addTenant(
-            request.app, Tick(spec.slo_ms * 1e9));
-    }
     tenants.push_back(std::move(state));
     return id;
 }
@@ -359,8 +352,6 @@ PoolOrchestrator::onTaskDone(TenantId tenant_id,
     }
     if (reqtrace)
         reqtrace->jobEnd(job->id);
-    if (slo)
-        slo->record(tenant.slo_idx, latency);
     ++tenant.jobs_completed;
     --jobs_outstanding;
     if (!job->scratch_app.empty())
@@ -396,23 +387,6 @@ PoolOrchestrator::start()
                               [stat = tenant.latency_ms_stat] {
                                   return stat->percentile(0.99);
                               });
-            if (slo) {
-                // Windowed SLO series from the live monitor.
-                const unsigned si = tenant.slo_idx;
-                sampler->addLevel(
-                    tag + ".slo_p50_ms", [this, si] {
-                        return double(slo->lastWindow(si).p50) *
-                               1e-9;
-                    });
-                sampler->addLevel(
-                    tag + ".slo_p99_ms", [this, si] {
-                        return double(slo->lastWindow(si).p99) *
-                               1e-9;
-                    });
-                sampler->addLevel(tag + ".slo_burn", [this, si] {
-                    return slo->burnRate(si);
-                });
-            }
         }
     }
 
@@ -473,7 +447,7 @@ PoolOrchestrator::run()
     const Tick end = eq.now();
     const RunResult machine = system.machineResult(end);
 
-    if (system.params().checkers.any())
+    if (system.params().checkers.enabled)
         verifyConservation();
 
     ServiceReport report = collectReport(machine);
@@ -486,11 +460,6 @@ PoolOrchestrator::collectReport(const RunResult &machine)
 {
     ServiceReport report;
     report.machine = machine;
-
-    // Close the final partial SLO window so lifetime totals cover
-    // every completed job (idempotent; the run has ended).
-    if (slo)
-        slo->finish();
 
     // Machine-wide denominators for the energy split.
     const StatRegistry &reg = system.stats();
@@ -560,15 +529,20 @@ PoolOrchestrator::collectReport(const RunResult &machine)
             for (std::size_t k = 0; k < obs::num_span_kinds; ++k)
                 out.breakdown_ticks[k] = bd.comp[k];
         }
-        if (slo) {
+        if (tenant.spec.slo_ms > 0) {
+            // Exact lifetime accounting over the sorted latencies: a
+            // job breaches when it finishes strictly above the target.
+            const Tick target = Tick(tenant.spec.slo_ms * 1e9);
             out.has_slo = true;
-            out.slo_jobs = slo->totalJobs(tenant.slo_idx);
-            out.slo_breaches = slo->totalBreaches(tenant.slo_idx);
+            out.slo_jobs = tenant.job_latencies.size();
+            out.slo_breaches = std::uint64_t(
+                tenant.job_latencies.end() -
+                std::upper_bound(tenant.job_latencies.begin(),
+                                 tenant.job_latencies.end(), target));
             out.slo_burn =
                 out.slo_jobs ? double(out.slo_breaches) /
                                    double(out.slo_jobs)
                              : 0;
-            out.slo_window_burn = slo->burnRate(tenant.slo_idx);
         }
         report.tenants.push_back(std::move(out));
     }

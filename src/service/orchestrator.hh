@@ -48,7 +48,6 @@ namespace beacon
 namespace obs
 {
 class RequestTrace;
-class SloMonitor;
 } // namespace obs
 
 /** Orchestrator configuration. */
@@ -115,14 +114,16 @@ struct TenantReport
     std::uint64_t breakdown_jobs = 0;
     Tick breakdown_total_ticks = 0;
     std::array<Tick, obs::num_span_kinds> breakdown_ticks{};
-    /** Live SLO accounting (obs::SloMonitor; has_slo gates). */
+    /**
+     * Exact SLO accounting over every completed job (filled —
+     * has_slo — when the tenant states a target, slo_ms > 0). A
+     * breach is a job latency strictly above the target.
+     */
     bool has_slo = false;
     std::uint64_t slo_jobs = 0;
     std::uint64_t slo_breaches = 0;
-    /** Lifetime breach fraction (breaches / jobs, 0 when idle). */
+    /** Breach fraction (breaches / jobs, 0 when idle). */
     double slo_burn = 0;
-    /** Last closed window's breach fraction (the live burn rate). */
-    double slo_window_burn = 0;
 };
 
 /** Whole-run outcome: the machine plus every tenant. */
@@ -238,8 +239,6 @@ class PoolOrchestrator
         obs::TrackId track = 0;
         std::vector<char> slot_busy;
         std::vector<obs::TrackId> slot_tracks;
-        /** Tenant index in the machine's SLO monitor (slo != null). */
-        unsigned slo_idx = 0;
     };
 
     /** Submit one job of @p tenant at the current tick. */
@@ -287,8 +286,6 @@ class PoolOrchestrator
     obs::TraceSink *trace = nullptr;
     /** Machine's request trace (null when request tracing is off). */
     obs::RequestTrace *reqtrace = nullptr;
-    /** Machine's live SLO monitor (null when no SLO window set). */
-    obs::SloMonitor *slo = nullptr;
 };
 
 } // namespace beacon

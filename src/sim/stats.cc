@@ -157,16 +157,13 @@ Counter &
 StatRegistry::counter(const std::string &name)
 {
     // std::map never invalidates references on insert, so the
-    // returned Counter& stays valid while other threads create
-    // stats; only the map mutation itself needs the lock.
-    std::lock_guard<std::mutex> guard(registry_mutex);
+    // returned Counter& stays valid as later stats are created.
     return scalar_stats[name];
 }
 
 VectorCounter &
 StatRegistry::vectorCounter(const std::string &name, std::size_t size)
 {
-    std::lock_guard<std::mutex> guard(registry_mutex);
     auto [it, inserted] = vector_stats.try_emplace(name, size);
     if (inserted || it->second.size() != size)
         it->second.resize(size);
@@ -176,14 +173,12 @@ StatRegistry::vectorCounter(const std::string &name, std::size_t size)
 SampleStat &
 StatRegistry::sampleStat(const std::string &name)
 {
-    std::lock_guard<std::mutex> guard(registry_mutex);
     return sample_stats[name];
 }
 
 double
 StatRegistry::counterValue(const std::string &name) const
 {
-    std::lock_guard<std::mutex> guard(registry_mutex);
     auto it = scalar_stats.find(name);
     return it == scalar_stats.end() ? 0 : it->second.value();
 }
@@ -191,7 +186,6 @@ StatRegistry::counterValue(const std::string &name) const
 double
 StatRegistry::sumMatching(const std::string &substring) const
 {
-    std::lock_guard<std::mutex> guard(registry_mutex);
     double total = 0;
     for (const auto &[name, c] : scalar_stats) {
         if (name.find(substring) != std::string::npos)

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -139,9 +138,10 @@ double quantileSorted(const std::vector<double> &sorted, double q);
  * Stats are created on first access; names are hierarchical by
  * convention ("dimm0.rank1.actEnergy").
  *
- * Thread model: one registry belongs to one machine, which one
- * thread drives. The registry *structure* (the name -> stat maps)
- * is mutex-guarded; stat *values* are not.
+ * Thread model: one registry belongs to one machine, which is built
+ * and driven on one thread (in a sweep, inside one SweepRunner
+ * job). That confinement is why neither the name -> stat maps nor
+ * the stat values take a lock.
  */
 class StatRegistry
 {
@@ -178,8 +178,6 @@ class StatRegistry
     void resetAll();
 
   private:
-    /** Guards the maps, not the stat values (see class comment). */
-    mutable std::mutex registry_mutex;
     std::map<std::string, Counter> scalar_stats;
     std::map<std::string, VectorCounter> vector_stats;
     std::map<std::string, SampleStat> sample_stats;

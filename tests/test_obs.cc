@@ -22,7 +22,6 @@
 #include "obs/request_trace.hh"
 #include "obs/sampler.hh"
 #include "obs/self_profile.hh"
-#include "obs/slo.hh"
 #include "obs/trace.hh"
 #include "service/orchestrator.hh"
 
@@ -429,148 +428,6 @@ TEST(Observability, ServiceRunTracesTenants)
 }
 
 // ---------------------------------------------------------------
-// LogHistogram
-// ---------------------------------------------------------------
-
-/** The histogram's exact answer for quantile @p q of @p sorted:
- *  the bucket upper bound of the ceil-rank order statistic
- *  (rank = max(1, ceil(q/100 * n)), 1-based, integer arithmetic —
- *  the documented sim/stats.hh quantileSorted rule). */
-std::uint64_t
-histogramOracle(const std::vector<std::uint64_t> &sorted, unsigned q)
-{
-    const std::uint64_t n = sorted.size();
-    std::uint64_t rank = (std::uint64_t(q) * n + 99) / 100;
-    if (rank == 0)
-        rank = 1;
-    return obs::LogHistogram::bucketUpper(
-        obs::LogHistogram::bucketIndex(sorted[rank - 1]));
-}
-
-TEST(LogHistogram, PercentileMatchesSortedOracleUnderFuzz)
-{
-    // Deterministic xorshift64 stream; no wall-clock seeding.
-    std::uint64_t s = 0x9E3779B97F4A7C15ull;
-    const auto next = [&s] {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        return s;
-    };
-    for (int round = 0; round < 25; ++round) {
-        obs::LogHistogram hist;
-        std::vector<std::uint64_t> values;
-        const std::size_t n = 1 + next() % 1500;
-        for (std::size_t i = 0; i < n; ++i) {
-            // Mixed magnitudes: exact small buckets, mid-range
-            // latencies, and near-full-width outliers.
-            std::uint64_t v = next();
-            switch (next() % 4) {
-              case 0: v %= 16; break;
-              case 1: v %= 100000; break;
-              case 2: v %= (std::uint64_t(1) << 40); break;
-              default: break;
-            }
-            values.push_back(v);
-            hist.add(v);
-        }
-        std::sort(values.begin(), values.end());
-        ASSERT_EQ(hist.count(), values.size());
-        for (unsigned q : {0u, 1u, 25u, 50u, 90u, 99u, 100u})
-            EXPECT_EQ(hist.percentile(q), histogramOracle(values, q))
-                << "round " << round << " q " << q << " n " << n;
-        // Monotonicity of the bucket mapping: upper bound of the
-        // bucket always covers the value it was derived from.
-        for (std::uint64_t v : values)
-            EXPECT_GE(obs::LogHistogram::bucketUpper(
-                          obs::LogHistogram::bucketIndex(v)),
-                      v);
-    }
-}
-
-TEST(LogHistogram, MergeEqualsHistogramOfConcatenation)
-{
-    std::uint64_t s = 0xBEACC0DEDEADBEEFull;
-    const auto next = [&s] {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        return s;
-    };
-    for (int round = 0; round < 10; ++round) {
-        obs::LogHistogram a, b, whole;
-        std::vector<std::uint64_t> values;
-        const std::size_t n = 2 + next() % 800;
-        const std::size_t split = 1 + next() % (n - 1);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t v =
-                next() % (std::uint64_t(1) << (8 + next() % 40));
-            values.push_back(v);
-            whole.add(v);
-            (i < split ? a : b).add(v);
-        }
-        a.merge(b);
-        ASSERT_EQ(a.count(), whole.count());
-        EXPECT_EQ(a.buckets(), whole.buckets());
-        std::sort(values.begin(), values.end());
-        for (unsigned q : {1u, 50u, 99u}) {
-            EXPECT_EQ(a.percentile(q), whole.percentile(q));
-            EXPECT_EQ(a.percentile(q), histogramOracle(values, q));
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// SloMonitor
-// ---------------------------------------------------------------
-
-TEST(SloMonitor, WindowedStatsAndBurnRate)
-{
-    EventQueue eq;
-    obs::SloMonitor slo(eq, 1000); // 1 ns windows
-    const unsigned fast = slo.addTenant("fast", 100);
-    const unsigned slow = slo.addTenant("slow", 0); // no target
-    slo.start();
-
-    // Window 1: two fast-tenant jobs, one breaching.
-    eq.schedule(200, [&] { slo.record(fast, 50); });
-    eq.schedule(600, [&] { slo.record(fast, 250); });
-    // Window 2: one clean job per tenant.
-    eq.schedule(1500, [&] {
-        slo.record(fast, 80);
-        slo.record(slow, 1u << 20); // huge but untargeted
-    });
-    eq.run(2500);
-    // Two full windows rolled (at 1000 and 2000).
-    EXPECT_EQ(slo.windowsClosed(), 2u);
-    EXPECT_EQ(slo.lastWindow(fast).jobs, 1u);
-    EXPECT_EQ(slo.lastWindow(fast).breaches, 0u);
-    EXPECT_DOUBLE_EQ(slo.burnRate(fast), 0.0);
-    // The last-window percentile is the bucket-quantised latency.
-    EXPECT_EQ(slo.lastWindow(fast).p99,
-              obs::LogHistogram::bucketUpper(
-                  obs::LogHistogram::bucketIndex(80)));
-    EXPECT_EQ(slo.totalJobs(fast), 3u);
-    EXPECT_EQ(slo.totalBreaches(fast), 1u);
-    EXPECT_EQ(slo.totalBreaches(slow), 0u);
-
-    // A partial window with one breach, closed by finish(). The
-    // run is bounded: the monitor's self-reschedule never drains.
-    eq.schedule(2600, [&] { slo.record(fast, 500); });
-    eq.run(2900);
-    slo.finish();
-    slo.finish(); // idempotent
-    EXPECT_EQ(slo.windowsClosed(), 3u);
-    EXPECT_EQ(slo.lastWindow(fast).jobs, 1u);
-    EXPECT_EQ(slo.lastWindow(fast).breaches, 1u);
-    EXPECT_DOUBLE_EQ(slo.burnRate(fast), 1.0);
-    EXPECT_EQ(slo.totalJobs(fast), 4u);
-    EXPECT_EQ(slo.totalBreaches(fast), 2u);
-    // No lingering self-reschedule event.
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-// ---------------------------------------------------------------
 // Request-scoped tracing (span trees, breakdown, byte-identity)
 // ---------------------------------------------------------------
 
@@ -580,7 +437,6 @@ requestConfig()
     obs::ObsConfig cfg;
     cfg.trace = true;
     cfg.request_trace = true;
-    cfg.slo_window = 1000000;     // 1 us
     cfg.sample_interval = 1000000; // 1 us
     return cfg;
 }
@@ -702,12 +558,6 @@ TEST(RequestTrace, SpanTreeIsWellFormedAndBreakdownSumsExactly)
             expectBalancedJson(os.str());
             EXPECT_NE(os.str().find("\"beacon-reqtrace-1\""),
                       std::string::npos);
-
-            // SLO monitor saw every completion.
-            obs::SloMonitor *slo = o->slo();
-            ASSERT_NE(slo, nullptr);
-            ASSERT_EQ(slo->numTenants(), 2u);
-            EXPECT_EQ(slo->totalJobs(0) + slo->totalJobs(1), 5u);
         });
     // The orchestrator report carries the same aggregates.
     ASSERT_EQ(report.tenants.size(), 2u);

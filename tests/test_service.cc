@@ -2,8 +2,8 @@
  * @file
  * Multi-tenant service tests: scheduler policy behavior, orchestrator
  * admission control, per-tenant stat conservation against the
- * untagged machine totals (with every checker armed), and
- * determinism of the service report.
+ * untagged machine totals (with every checker armed), per-tenant
+ * SLO breach accounting, and determinism of the service report.
  */
 
 #include <gtest/gtest.h>
@@ -224,6 +224,47 @@ TEST(Orchestrator, EveryTenantCompletesItsJobs)
         EXPECT_GE(report.tenants[1].p99_latency_ms,
                   report.tenants[1].p50_latency_ms);
     }
+}
+
+TEST(Orchestrator, SloBreachesCountedForEveryTenantWithATarget)
+{
+    const FmSeedingWorkload bulk(tinyPreset(1 << 13, 16));
+    const HashSeedingWorkload small(tinyPreset(1 << 12, 8));
+    SystemParams system_params = serviceParams();
+    system_params.obs = obs::ObsConfig{}; // SLO accounting needs no telemetry
+    NdpSystem system(system_params);
+    PoolOrchestrator orchestrator(system, OrchestratorParams{});
+
+    TenantSpec strict = bulkSpec(bulk);
+    strict.slo_ms = 1e-6; // 1 ns: every job breaches
+    TenantSpec loose = smallTenantSpec(small);
+    loose.name = "loose";
+    loose.slo_ms = 1e6; // 1000 s: no job breaches
+    TenantSpec none = smallTenantSpec(small);
+    none.name = "none";
+    none.slo_ms = 0; // no target, no SLO accounting
+    for (const TenantSpec &spec : {strict, loose, none})
+        ASSERT_NE(orchestrator.addTenant(spec), untenanted_id)
+            << orchestrator.lastError();
+    const ServiceReport report = orchestrator.run();
+
+    ASSERT_EQ(report.tenants.size(), 3u);
+    const TenantReport &r_strict = report.tenants[0];
+    const TenantReport &r_loose = report.tenants[1];
+    const TenantReport &r_none = report.tenants[2];
+    EXPECT_TRUE(r_strict.has_slo);
+    EXPECT_TRUE(r_loose.has_slo);
+    EXPECT_FALSE(r_none.has_slo);
+    EXPECT_GT(r_strict.jobs_completed, 0u);
+    EXPECT_GT(r_loose.jobs_completed, 0u);
+    EXPECT_EQ(r_strict.slo_jobs, r_strict.jobs_completed);
+    EXPECT_EQ(r_loose.slo_jobs, r_loose.jobs_completed);
+    EXPECT_EQ(r_strict.slo_breaches, r_strict.jobs_completed);
+    EXPECT_EQ(r_loose.slo_breaches, 0u);
+    EXPECT_EQ(r_none.slo_jobs, 0u);
+    EXPECT_EQ(r_none.slo_breaches, 0u);
+    EXPECT_DOUBLE_EQ(r_strict.slo_burn, 1.0);
+    EXPECT_DOUBLE_EQ(r_loose.slo_burn, 0.0);
 }
 
 TEST(Orchestrator, PriorityAndFairShareProtectSmallTenant)
